@@ -47,6 +47,7 @@ from .analysis import (
 from .decorrelate import (
     blur,
     dose,
+    end_term_bound,
     min_pedestal,
     pedestal_masks,
     recon_error,
@@ -254,7 +255,6 @@ def _cmd_demo_deblur(args) -> int:
     restored = reconstruct(blurred, grid)
     err = recon_error(obj, restored)
     peak = float(np.sum(np.abs(grid) ** 2))
-    obj_max = float(np.abs(obj).max())
     doc = {
         "meta": _meta(),
         "family": args.family,
@@ -264,7 +264,7 @@ def _cmd_demo_deblur(args) -> int:
         "peak": peak,
         "max_abs_error": err.max_abs_error,
         "rel_l2_error": err.rel_l2_error,
-        "end_term_bound": 2.0 * obj_max / peak,
+        "end_term_bound": end_term_bound(grid, float(np.abs(obj).max())),
     }
     _emit(doc, args.out)
     return 0

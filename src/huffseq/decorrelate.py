@@ -17,10 +17,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve as _nd_convolve
 
 from .core import ArgumentError, as_array
-from .analysis import is_canonical, nd_autocorr
+from .analysis import convolve, correlate, nd_autocorr
 
 _MASK_KINDS = ("split_sign", "pedestal", "split_complex")
 
@@ -139,7 +138,7 @@ def blur(obj, h) -> np.ndarray:
         raise ArgumentError(
             f"object ({o.ndim}-D) and mask ({k.ndim}-D) must have the same "
             "number of axes")
-    return _nd_convolve(o, k, mode="full", method="direct")
+    return convolve(o, k)
 
 
 def measure(obj, m: MaskSet) -> np.ndarray:
@@ -172,8 +171,7 @@ def delta_correlation_residual(h, dual: bool = False) -> tuple:
     """(peak, worst interior off-peak magnitude) of a mask's autocorrelation,
     in n-D: interior means no axis sits at its extreme lag."""
     k = _as_grid(h)
-    g = k if dual else np.conj(k)
-    r = _nd_convolve(k, np.flip(g), mode="full", method="direct")
+    r = correlate(k, dual=dual)
     center = tuple(n - 1 for n in k.shape)
     interior = _interior_mask(r.shape)
     interior[center] = False
@@ -207,8 +205,7 @@ def reconstruct(s_t, h, dual: bool = False) -> np.ndarray:
             f"mask is not delta-correlated (worst interior residual {worst:g}"
             f" vs peak {abs(peak):g}); reconstruction will carry artifacts",
             stacklevel=2)
-    kernel = np.flip(k) if dual else np.flip(np.conj(k))
-    full = _nd_convolve(st, kernel, mode="full", method="direct") / peak
+    full = correlate(k, st, dual=dual) / peak
     crop = tuple(
         slice(kn - 1, kn - 1 + (sn - kn + 1))
         for sn, kn in zip(st.shape, k.shape))
@@ -242,8 +239,7 @@ def end_term_bound(h, obj_max: float = 1.0, dual: bool = False) -> float:
     """Worst-case reconstruction error from the mask's off-center
     autocorrelation terms: (sum of off-center |r|) * obj_max / |peak|."""
     k = _as_grid(h)
-    r = nd_autocorr(k) if not dual else _nd_convolve(
-        k, np.flip(k), mode="full", method="direct")
+    r = correlate(k, dual=True) if dual else nd_autocorr(k)
     center = tuple(n - 1 for n in k.shape)
     peak = abs(complex(r[center]))
     if peak == 0:

@@ -117,3 +117,39 @@ def brute_blur_2d(obj, h):
                 for m in range(ch):
                     out[i + k][j + m] += complex(obj[i][j]) * complex(h[k][m])
     return out
+
+
+def brute_xcorr_int(f, g):
+    """brute_xcorr (conjugating) of real integer sequences in exact Python
+    ints."""
+    f = [int(v) for v in f]
+    g = [int(v) for v in g]
+    return [sum(fi * g[i + k] for i, fi in enumerate(f) if 0 <= i + k < len(g))
+            for k in range(-(len(f) - 1), len(g))]
+
+
+def brute_periodic_autocorr_int(f):
+    """Cyclic autocorrelation of a real integer sequence in exact Python
+    ints."""
+    f = [int(v) for v in f]
+    n = len(f)
+    return [sum(f[i] * f[(i + k) % n] for i in range(n)) for k in range(n)]
+
+
+def brute_xcorr_2d_int(f, g):
+    """Full 2-D correlation out[k1][k2] = sum f[i][j] * g[i+k1][j+k2] of real
+    integer grids (nested lists) in exact Python ints."""
+    rf, cf, rg, cg = len(f), len(f[0]), len(g), len(g[0])
+    out = []
+    for k1 in range(-(rf - 1), rg):
+        row = []
+        for k2 in range(-(cf - 1), cg):
+            acc = 0
+            for i in range(rf):
+                for j in range(cf):
+                    i2, j2 = i + k1, j + k2
+                    if 0 <= i2 < rg and 0 <= j2 < cg:
+                        acc += int(f[i][j]) * int(g[i2][j2])
+            row.append(acc)
+        out.append(row)
+    return out

@@ -1,10 +1,14 @@
 """Command-line interface: verbs, JSON interchange, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import huffseq
 from huffseq import gen_fibonacci, to_json_obj
 from huffseq.cli import main
 
@@ -280,6 +284,20 @@ class TestDemo:
         assert doc["object_shape"] == [2, 2]
         assert doc["peak"] == pytest.approx(324.0)
 
+    def test_deblur_two_d_bound_holds(self, capsys, tmp_path):
+        # The fib7 x fib7 grid has eight off-center autocorrelation terms
+        # (4 x 1, 4 x -18 against peak 324), so the bound is
+        # 76 * max|O| / 324, not the 1-D 2 * max|O| / 324.
+        obj = np.random.default_rng(0).random((12, 12))
+        path = tmp_path / "object.csv"
+        np.savetxt(path, obj, delimiter=",")
+        doc = run_json(capsys, "demo", "deblur", "--object", str(path),
+                       "--family", "fib", "--n", "7", "--s", "1")
+        assert doc["end_term_bound"] == pytest.approx(76 * obj.max() / 324)
+        assert doc["end_term_bound"] == pytest.approx(0.234, abs=1e-3)
+        assert doc["max_abs_error"] == pytest.approx(0.102, abs=1e-3)
+        assert doc["max_abs_error"] <= doc["end_term_bound"]
+
     def test_deblur_missing_object_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "demo", "deblur", "--object",
                            str(tmp_path / "absent.csv"),
@@ -326,3 +344,12 @@ class TestRoundTrip:
         doc = run_json(capsys, "analyze", "--in", str(seq_file))
         assert doc["canonical"] is True
         assert doc["family"] == "h13b"
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(huffseq.__file__))
+    code = "import sys, huffseq, huffseq.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
