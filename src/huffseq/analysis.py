@@ -427,9 +427,11 @@ def merit_factor_exact(f) -> Fraction:
     if a.ndim != 1 or a.size < 2:
         raise ArgumentError("merit_factor_exact expects a 1-D sequence of "
                             "length >= 2")
-    if np.count_nonzero(a.imag) or np.count_nonzero(a.real != np.rint(a.real)):
-        raise ArgumentError("merit_factor_exact requires integer elements")
-    if np.abs(a.real).max() < 2.0 ** 63:
+    top = float(np.abs(a.real).max())
+    if not math.isfinite(top) or np.count_nonzero(a.imag) or \
+            np.count_nonzero(a.real != np.rint(a.real)):
+        raise ArgumentError("merit_factor_exact needs finite integers")
+    if top < 2.0 ** 63:
         ints = a.real.astype(np.int64)
     else:
         ints = np.array([int(v) for v in a.real], dtype=object)

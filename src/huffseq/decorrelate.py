@@ -2,13 +2,15 @@
 sets, radiation-dose accounting, blur simulation, and correlation-based
 reconstruction.
 
-A signed array is realized physically as exposures through non-negative
-masks.  Three encodings are supported:
+A signed array h is recorded as exposures through non-negative masks m_j
+and recovered with fixed linear weights w_j as h = sum_j w_j m_j:
 
-* ``split_sign``  - (positive part, negative part); difference restores h.
-* ``pedestal``    - (h + kappa, kappa - h); half the difference restores h,
-  and the flat kappa terms cancel exactly in the difference.
-* ``split_complex`` - four masks, sign-splitting real and imaginary parts.
+* ``split_sign``  - (positive part, negative part), weights (1, -1).
+* ``pedestal``    - (h + kappa, kappa - h), weights (1/2, -1/2).
+* ``split_complex`` - (Re+, Re-, Im+, Im-), weights (1, -1, i, -i).
+
+By linearity the recombined measurement is one convolution:
+sum_j w_j (obj * m_j) = obj * sum_j w_j m_j.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 from .core import ArgumentError, as_array
 from .analysis import convolve, correlate, nd_autocorr
 
-_MASK_KINDS = ("split_sign", "pedestal", "split_complex")
+_WEIGHTS = {"split_sign": (1, -1), "pedestal": (0.5, -0.5),
+            "split_complex": (1, -1, 1j, -1j)}
 
 
 @dataclass(frozen=True)
@@ -33,15 +36,23 @@ class MaskSet:
     pedestal: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _MASK_KINDS:
+        if self.kind not in _WEIGHTS:
             raise ArgumentError(f"unknown mask kind {self.kind!r}")
         masks = tuple(np.asarray(m, dtype=np.float64) for m in self.masks)
+        if len(masks) != len(self.weights):
+            raise ArgumentError(f"{self.kind} takes {len(self.weights)} "
+                                f"masks, not {len(masks)}")
         for m in masks:
             if m.shape != masks[0].shape:
                 raise ArgumentError("masks must share one shape")
-            if np.any(m < 0):
-                raise ArgumentError("mask entries must be non-negative")
+            if not np.all(np.isfinite(m) & (m >= 0)):
+                raise ArgumentError("masks must be finite and non-negative")
         object.__setattr__(self, "masks", masks)
+
+    @property
+    def weights(self) -> tuple:
+        """Linear weights w_j: the encoded array is sum_j w_j * masks[j]."""
+        return _WEIGHTS[self.kind]
 
 
 @dataclass(frozen=True)
@@ -113,14 +124,9 @@ def split_complex(h) -> MaskSet:
 
 
 def recombine(m: MaskSet) -> np.ndarray:
-    """Invert the mask encoding back to the signed/complex array."""
-    if m.kind == "split_sign":
-        return (m.masks[0] - m.masks[1]).astype(np.complex128)
-    if m.kind == "pedestal":
-        return ((m.masks[0] - m.masks[1]) / 2.0).astype(np.complex128)
-    re = m.masks[0] - m.masks[1]
-    im = m.masks[2] - m.masks[3]
-    return re + 1j * im
+    """Invert the mask encoding: the weighted sum sum_j w_j m_j, real for
+    the real encodings and complex for ``split_complex``."""
+    return sum(w * mask for w, mask in zip(m.weights, m.masks))
 
 
 def dose(m: MaskSet) -> DoseReport:
@@ -142,17 +148,10 @@ def blur(obj, h) -> np.ndarray:
 
 
 def measure(obj, m: MaskSet) -> np.ndarray:
-    """Simulate the per-mask exposures and recombine them: equals
-    blur(obj, recombine(m)).  For the pedestal pair the difference of the two
-    exposures is exactly 2*(obj * h) - the flat kappa contributions cancel -
-    so the difference is halved."""
-    o = _as_grid(obj)
-    parts = [blur(o, mask) for mask in m.masks]
-    if m.kind == "split_sign":
-        return parts[0] - parts[1]
-    if m.kind == "pedestal":
-        return (parts[0] - parts[1]) / 2.0
-    return (parts[0] - parts[1]) + 1j * (parts[2] - parts[3])
+    """The recombined measurement sum_j w_j (obj * m_j), computed by
+    linearity as the one convolution obj * sum_j w_j m_j; the pedestal
+    pair's kappa-sized exposures then never cancel in floating point."""
+    return blur(obj, recombine(m))
 
 
 def _interior_mask(shape: tuple) -> np.ndarray:

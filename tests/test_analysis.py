@@ -288,6 +288,9 @@ class TestMeritFactor:
             merit_factor_exact([0.5, 1.5])
         with pytest.raises(ArgumentError):
             merit_factor_exact([1j, 1])
+        for bad in ([math.inf, 1], [math.nan, 1]):
+            with pytest.raises(ArgumentError):
+                merit_factor_exact(bad)
 
     def test_quasi9_off_peak_bounded(self):
         prof = autocorr(fixtures("quasi9"))

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import huffseq.decorrelate as decorrelate
 from huffseq import (
     ArgumentError,
     MaskSet,
@@ -38,6 +39,10 @@ RNG_SEED = 20260816
 def fib_grid_19():
     h = gen_fibonacci(19, 1)
     return outer(h, h)
+
+
+def harb_8():
+    return np.asarray(gen_h_arb(8, cmath.exp(1j * math.pi / 3)).elements)
 
 
 class TestMaskEncodings:
@@ -71,7 +76,7 @@ class TestMaskEncodings:
         assert min_pedestal(fib_grid_19().real) == 1764.0
 
     def test_split_complex_round_trip(self):
-        h = np.asarray(gen_h_arb(8, cmath.exp(1j * math.pi / 3)).elements)
+        h = harb_8()
         m = split_complex(h)
         assert len(m.masks) == 4
         assert all(np.all(mask >= 0) for mask in m.masks)
@@ -82,6 +87,27 @@ class TestMaskEncodings:
             split_signs([1j, 1])
         with pytest.raises(ArgumentError):
             pedestal_masks([1j, 1])
+
+    def test_weights_per_kind(self):
+        h = np.array([1.0, -2.0, 3.0])
+        assert split_signs(h).weights == (1, -1)
+        assert pedestal_masks(h).weights == (0.5, -0.5)
+        assert split_complex(h).weights == (1, -1, 1j, -1j)
+
+    def test_mask_count_must_match_kind(self):
+        a, b = [1.0, 0.0], [0.0, 1.0]
+        for masks, kind in (((a, b), "split_complex"),
+                            ((a, b, a), "split_sign"),
+                            ((), "split_sign"),
+                            ((a, b, a, b), "pedestal")):
+            with pytest.raises(ArgumentError, match="takes"):
+                MaskSet(masks=masks, kind=kind)
+
+    def test_non_finite_mask_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ArgumentError,
+                               match="finite and non-negative"):
+                MaskSet(masks=([bad, 1.0], [0.0, 0.0]), kind="split_sign")
 
     def test_mask_set_validation(self):
         with pytest.raises(ArgumentError):
@@ -133,10 +159,53 @@ class TestBlurAndMeasure:
                   split_complex(h.astype(complex))):
             assert np.allclose(measure(obj, m), blur(obj, recombine(m)))
 
+    @pytest.mark.parametrize("encode",
+                             [split_signs, pedestal_masks, split_complex])
+    def test_measure_matches_per_mask_exposures(self, encode):
+        # sum_j w_j (obj * m_j), each exposure convolved by the oracle.
+        rng = np.random.default_rng(RNG_SEED)
+        row = harb_8() if encode is split_complex else \
+            gen_fibonacci(7, 1).elements.real
+        grid = np.outer(row, fixtures("h5").elements.real)
+        for obj, h, brute in ((rng.random(9), row, brute_blur),
+                              (rng.random((4, 5)), grid, brute_blur_2d)):
+            m = encode(h)
+            exposures = [np.asarray(brute(obj, mask)) for mask in m.masks]
+            want = sum(w * e for w, e in zip(m.weights, exposures))
+            scale = max(float(np.abs(e).max()) for e in exposures)
+            got = measure(obj, m)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+    def test_measure_is_one_convolution(self, monkeypatch):
+        calls = []
+        plain_blur = decorrelate.blur
+
+        def counting_blur(obj, h):
+            calls.append(np.shape(h))
+            return plain_blur(obj, h)
+
+        monkeypatch.setattr(decorrelate, "blur", counting_blur)
+        h = harb_8()
+        for m in (split_signs(h.real), pedestal_masks(h.real),
+                  split_complex(h)):
+            calls.clear()
+            measure(np.ones(6), m)
+            assert calls == [h.shape]
+
+    def test_pedestal_measure_exact_at_large_offset(self):
+        # The kappa-sized exposures never cancel in floating point: the
+        # measurement is the blur with h itself, bit for bit.
+        rng = np.random.default_rng(RNG_SEED)
+        h = gen_fibonacci(11, 1).elements.real
+        obj = rng.random(9)
+        m = pedestal_masks(h, kappa=2.0 ** 40)
+        assert np.array_equal(measure(obj, m), blur(obj, h))
+
     def test_measure_complex_mask(self):
         rng = np.random.default_rng(RNG_SEED)
         obj = rng.random(6)
-        h = np.asarray(gen_h_arb(8, cmath.exp(1j * math.pi / 3)).elements)
+        h = harb_8()
         m = split_complex(h)
         assert np.allclose(measure(obj, m), blur(obj, h))
 
@@ -175,7 +244,7 @@ class TestReconstruct:
 
     def test_dual_reconstruction_complex_mask(self):
         rng = np.random.default_rng(RNG_SEED)
-        h = np.asarray(gen_h_arb(8, cmath.exp(1j * math.pi / 3)).elements)
+        h = harb_8()
         obj = rng.random(10)
         est = reconstruct(blur(obj, h), h, dual=True)
         bound = end_term_bound(h, obj_max=float(obj.max()), dual=True)
@@ -229,7 +298,7 @@ class TestEndTermBound:
             pytest.approx(3 * end_term_bound(h))
 
     def test_dual_value(self):
-        h = np.asarray(gen_h_arb(8, cmath.exp(1j * math.pi / 3)).elements)
+        h = harb_8()
         assert end_term_bound(h, dual=True) == \
             pytest.approx(2 / math.sqrt(3), abs=1e-9)
 
