@@ -1,12 +1,15 @@
-"""Command-line front end.
+"""Command-line front end: parse, call the library, emit.
 
 Verbs: ``gen`` (emit a family/fixture sequence as JSON), ``analyze``
 (correlation profile and metrics for a sequence file), ``compose``
 (Kronecker/outer products of two sequence files), ``demo`` (dose ledger and
-de-blur round trip), and ``list`` (available families and fixtures).
+de-blur round trip), and ``list`` (available families and fixtures; the same
+document as ``gen --list``).
 
-Exit codes: 0 success, 2 argument/input errors (including malformed files),
-3 domain errors (a construction leaving its valid numeric domain).
+Exit codes: 0 success, 2 argument/input errors (including malformed or
+non-finite files and an unwritable ``--out``), 3 domain errors (a
+construction leaving its valid numeric domain, or a result that JSON cannot
+hold, such as an overflow to infinity).
 """
 
 from __future__ import annotations
@@ -55,43 +58,57 @@ from .decorrelate import (
     split_signs,
 )
 
-_METRICS = ("merit", "flatness", "peak")
+
+# --metrics name -> (report key, function of the Sequence); an infinite
+# value is reported as "inf".  The lambdas look the library functions up at
+# call time, so wrappers installed on this module's attributes see the calls.
+_METRICS = {
+    "merit": ("merit_factor", lambda seq: merit_factor(seq)),
+    "flatness": ("spectral_flatness", lambda seq: spectral_flatness(seq)),
+    "peak": ("peak", lambda seq: seq.energy),
+}
 
 
-def _meta() -> dict:
-    return {"name": "huffseq", "version": __version__}
-
-
-def _parse_scalar(text: str) -> complex:
-    """Parse '--s re' or '--s re,im' into a number (int kept exact)."""
-    parts = text.split(",")
-    if len(parts) > 2:
-        raise ArgumentError(f"scale {text!r} must be 're' or 're,im'")
+def _parse_scalar(text: str):
+    """'--s re' or '--s re,im': int, else float, else complex; a zero
+    imaginary part leaves the real number.  Values are left to the
+    generator's scale check."""
+    re, comma, im = text.partition(",")
     try:
-        if len(parts) == 2:
-            re, im = float(parts[0]), float(parts[1])
-            if im == 0:
-                return _real_scalar(parts[0])
-            return complex(re, im)
-        return _real_scalar(parts[0])
-    except ValueError as exc:
+        try:
+            val = int(re)
+        except ValueError:
+            val = float(re)
+        if comma and float(im) != 0:
+            val = complex(val, float(im))
+    except (ValueError, OverflowError) as exc:
         raise ArgumentError(f"cannot parse scale {text!r}: {exc}") from exc
-
-
-def _real_scalar(text: str):
-    val = float(text)
-    if val == int(val) and "e" not in text.lower() and "." not in text:
-        return int(val)
     return val
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    payload = json.dumps(doc, indent=2, sort_keys=True)
-    if out_path:
+def _dim(text: str) -> int:
+    dim = int(text)
+    if dim < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return dim
+
+
+def _emit(doc: dict, out_path: str | None) -> int:
+    """Add the meta block and write ``doc`` as JSON to stdout or a file."""
+    doc["meta"] = {"name": "huffseq", "version": __version__}
+    try:
+        payload = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"result is not finite: {exc}") from exc
+    if not out_path:
+        print(payload)
+        return 0
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
-    else:
-        print(payload)
+    except OSError as exc:
+        raise ArgumentError(f"cannot write {out_path}: {exc}") from exc
+    return 0
 
 
 def _load_sequence_file(path: str):
@@ -110,49 +127,42 @@ def _load_sequence_file(path: str):
 def _load_object_file(path: str) -> np.ndarray:
     """Object for the de-blur demo: CSV of reals or a sequence/grid JSON."""
     if path.endswith(".json"):
-        loaded = _load_sequence_file(path)
-        return as_array(loaded) if isinstance(loaded, Sequence) else loaded
+        return as_array(_load_sequence_file(path))
     try:
         data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=1)
     except (OSError, ValueError) as exc:
         raise ArgumentError(f"cannot read object file {path}: {exc}") from exc
+    if not np.isfinite(data).all():
+        raise ArgumentError(f"object file {path} holds non-finite values")
     return data.astype(np.complex128)
+
+
+def _sequence(args, default_s=None) -> Sequence:
+    s = default_s if args.s is None else _parse_scalar(args.s)
+    return generate(args.family, n=args.n, s=s)
+
+
+def _cmd_list(args) -> int:
+    return _emit({"families": {fid: FAMILY_INFO[fid][3]
+                               for fid in family_ids()},
+                  "fixtures": {name: fixture_description(name)
+                               for name in fixture_names()}}, args.out)
 
 
 def _cmd_gen(args) -> int:
     if args.list:
-        _emit({"meta": _meta(),
-               "families": {fid: FAMILY_INFO[fid][3] for fid in family_ids()},
-               "fixtures": {name: fixture_description(name)
-                            for name in fixture_names()}}, args.out)
-        return 0
+        return _cmd_list(args)
     if not args.family:
         raise ArgumentError("gen requires --family (or --list)")
-    s = _parse_scalar(args.s) if args.s is not None else None
-    seq = generate(args.family, n=args.n, s=s)
-    doc = to_json_obj(seq)
-    doc["meta"] = _meta()
-    _emit(doc, args.out)
-    return 0
-
-
-def _metrics_doc(seq_arr: np.ndarray, wanted: list) -> dict:
-    out = {}
-    for name in wanted:
-        if name == "merit":
-            mf = merit_factor(seq_arr)
-            out["merit_factor"] = mf if mf != float("inf") else "inf"
-        elif name == "flatness":
-            out["spectral_flatness"] = spectral_flatness(seq_arr)
-        elif name == "peak":
-            out["peak"] = float(np.sum(np.abs(seq_arr) ** 2))
-        else:
-            raise ArgumentError(
-                f"unknown metric {name!r}; known: {', '.join(_METRICS)}")
-    return out
+    return _emit(to_json_obj(_sequence(args)), args.out)
 
 
 def _cmd_analyze(args) -> int:
+    wanted = [w for w in (args.metrics or "").split(",") if w]
+    for name in wanted:
+        if name not in _METRICS:
+            raise ArgumentError(
+                f"unknown metric {name!r}; known: {', '.join(_METRICS)}")
     loaded = _load_sequence_file(args.infile)
     if not isinstance(loaded, Sequence):
         raise ArgumentError("analyze expects a 1-D sequence file")
@@ -162,21 +172,15 @@ def _cmd_analyze(args) -> int:
     if args.periodic:
         prof = periodic_autocorr(arr)
         verdict = {"perfect": is_perfect(arr, tol=args.tol)}
-    elif args.dual:
-        prof = dual_autocorr(arr)
-        verdict = {"canonical": bool(is_canonical(arr, tol=args.tol,
-                                                  dual=True))}
     else:
-        prof = autocorr(arr)
-        verdict = {"canonical": bool(is_canonical(arr, tol=args.tol))}
+        prof = (dual_autocorr if args.dual else autocorr)(arr)
+        verdict = {"canonical": bool(is_canonical(arr, tol=args.tol,
+                                                  dual=args.dual))}
     if args.csv:
         for lag, val in zip(prof.lags, prof.values):
             print(f"{int(lag)},{float(val.real)!r},{float(val.imag)!r}")
         return 0
-    wanted = [w for w in (args.metrics.split(",") if args.metrics else [])
-              if w]
     doc = {
-        "meta": _meta(),
         "family": loaded.family,
         "length": int(arr.size),
         "kind": prof.kind,
@@ -188,94 +192,73 @@ def _cmd_analyze(args) -> int:
         "end_values": [[v.real, v.imag] for v in prof.end_values],
         "max_interior_offpeak": prof.max_interior_offpeak,
         "tolerance": args.tol,
+        **verdict,
     }
-    doc.update(verdict)
     if wanted:
-        doc["metrics"] = _metrics_doc(arr, wanted)
-    _emit(doc, args.out)
-    return 0
+        values = {key: fn(loaded) for key, fn in map(_METRICS.get, wanted)}
+        doc["metrics"] = {key: "inf" if val == float("inf") else val
+                          for key, val in values.items()}
+    return _emit(doc, args.out)
 
 
 def _cmd_compose(args) -> int:
-    left = _load_sequence_file(args.a)
-    right = _load_sequence_file(args.b)
-    la = as_array(left) if isinstance(left, Sequence) else left
-    ra = as_array(right) if isinstance(right, Sequence) else right
-    if args.op == "kron":
-        if la.ndim != 1 or ra.ndim != 1:
-            raise ArgumentError("kron composes 1-D sequences")
-        seq = Sequence(kron(la, ra), family="kron", scale=1.0)
-        doc = to_json_obj(seq)
-    else:
-        doc = to_json_obj(outer(la, ra))
-        doc["family"] = "outer"
-    doc["meta"] = _meta()
-    _emit(doc, args.out)
-    return 0
+    op = kron if args.op == "kron" else outer
+    doc = to_json_obj(op(as_array(_load_sequence_file(args.a)),
+                         as_array(_load_sequence_file(args.b))))
+    doc["family"] = args.op
+    return _emit(doc, args.out)
 
 
-def _demo_mask(args) -> np.ndarray:
-    s = _parse_scalar(args.s) if args.s is not None else 1
-    seq = generate(args.family, n=args.n, s=s)
-    grid = seq.elements
-    for _ in range(args.dim - 1):
-        grid = np.tensordot(seq.elements, grid, axes=0)
+def _demo_mask(args, dim: int) -> np.ndarray:
+    """The family's row (s defaults to 1) as a dim-D outer product."""
+    row = grid = as_array(_sequence(args, default_s=1))
+    for _ in range(dim - 1):
+        grid = outer(row, grid)
     return grid
 
 
 def _cmd_demo_dose(args) -> int:
-    grid = _demo_mask(args)
+    grid = _demo_mask(args, args.dim)
     if np.any(grid.imag != 0):
         raise ArgumentError("dose demo expects a real-valued family")
-    split_report = dose(split_signs(grid))
-    kappa = min_pedestal(grid)
-    ped_report = dose(pedestal_masks(grid))
-    doc = {
-        "meta": _meta(),
+    split = dose(split_signs(grid)).total_dose
+    pedestal = dose(pedestal_masks(grid)).total_dose
+    return _emit({
         "family": args.family,
         "n": args.n,
         "dim": args.dim,
         "shape": list(grid.shape),
         "min_element": float(grid.real.min()),
-        "pedestal_offset": kappa,
-        "pedestal": ped_report.total_dose,
-        "split": split_report.total_dose,
-        "ratio": ped_report.total_dose / split_report.total_dose,
-    }
-    _emit(doc, args.out)
-    return 0
+        "pedestal_offset": min_pedestal(grid),
+        "pedestal": pedestal,
+        "split": split,
+        "ratio": pedestal / split,
+    }, args.out)
 
 
 def _cmd_demo_deblur(args) -> int:
     obj = _load_object_file(args.object)
-    mask_args = argparse.Namespace(family=args.family, n=args.n, s=args.s,
-                                   dim=obj.ndim)
-    grid = _demo_mask(mask_args)
-    blurred = blur(obj, grid)
-    restored = reconstruct(blurred, grid)
-    err = recon_error(obj, restored)
-    peak = float(np.sum(np.abs(grid) ** 2))
-    doc = {
-        "meta": _meta(),
+    grid = _demo_mask(args, obj.ndim)
+    err = recon_error(obj, reconstruct(blur(obj, grid), grid))
+    return _emit({
         "family": args.family,
         "n": args.n,
         "dim": int(obj.ndim),
         "object_shape": list(obj.shape),
-        "peak": peak,
+        "peak": float(np.sum(np.abs(grid) ** 2)),
         "max_abs_error": err.max_abs_error,
         "rel_l2_error": err.rel_l2_error,
         "end_term_bound": end_term_bound(grid, float(np.abs(obj).max())),
-    }
-    _emit(doc, args.out)
-    return 0
+    }, args.out)
 
 
-def _cmd_list(args) -> int:
-    _emit({"meta": _meta(),
-           "families": {fid: FAMILY_INFO[fid][3] for fid in family_ids()},
-           "fixtures": {name: fixture_description(name)
-                        for name in fixture_names()}}, args.out)
-    return 0
+def _sequence_options(family_required: bool) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--family", required=family_required,
+                        help="family or fixture id")
+    parent.add_argument("--n", type=int, help="sequence length")
+    parent.add_argument("--s", help="scale parameter: 're' or 're,im'")
+    return parent
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -286,23 +269,25 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"huffseq {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write JSON to a file")
+    demo_seq = _sequence_options(family_required=True)
 
-    p_gen = sub.add_parser("gen", help="generate a family or fixture")
-    p_gen.add_argument("--family", help="family or fixture id")
-    p_gen.add_argument("--n", type=int, default=None, help="sequence length")
-    p_gen.add_argument("--s", default=None,
-                       help="scale parameter: 're' or 're,im'")
+    p_gen = sub.add_parser("gen", help="generate a family or fixture",
+                           parents=[_sequence_options(family_required=False),
+                                    out])
     p_gen.add_argument("--list", action="store_true",
                        help="list families and fixtures")
-    p_gen.add_argument("--out", default=None, help="write JSON to a file")
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_an = sub.add_parser("analyze", help="correlation profile and metrics")
+    p_an = sub.add_parser("analyze", help="correlation profile and metrics",
+                          parents=[out])
     p_an.add_argument("--in", dest="infile", required=True,
                       help="sequence JSON file")
-    p_an.add_argument("--periodic", action="store_true",
+    kind = p_an.add_mutually_exclusive_group()
+    kind.add_argument("--periodic", action="store_true",
                       help="cyclic autocorrelation")
-    p_an.add_argument("--dual", action="store_true",
+    kind.add_argument("--dual", action="store_true",
                       help="conjugate-free autocorrelation")
     p_an.add_argument("--metrics", default=None,
                       help="comma list from: merit,flatness,peak")
@@ -310,50 +295,39 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="emit 'lag,re,im' rows instead of JSON")
     p_an.add_argument("--tol", type=float, default=1e-9,
                       help="relative tolerance for condition checks")
-    p_an.add_argument("--out", default=None, help="write JSON to a file")
     p_an.set_defaults(func=_cmd_analyze)
 
-    p_co = sub.add_parser("compose", help="kron/outer product of two files")
+    p_co = sub.add_parser("compose", help="kron/outer product of two files",
+                          parents=[out])
     p_co.add_argument("--op", choices=("kron", "outer"), required=True)
     p_co.add_argument("a", help="left sequence JSON file")
     p_co.add_argument("b", help="right sequence/grid JSON file")
-    p_co.add_argument("--out", default=None, help="write JSON to a file")
     p_co.set_defaults(func=_cmd_compose)
 
     p_demo = sub.add_parser("demo", help="imaging-protocol demonstrations")
     demo_sub = p_demo.add_subparsers(dest="demo", required=True)
 
-    p_dose = demo_sub.add_parser("dose", help="pedestal vs split-sign dose")
-    p_dose.add_argument("--family", required=True)
-    p_dose.add_argument("--n", type=int, default=None)
-    p_dose.add_argument("--s", default=None)
-    p_dose.add_argument("--dim", type=int, default=2,
+    p_dose = demo_sub.add_parser("dose", help="pedestal vs split-sign dose",
+                                 parents=[demo_seq, out])
+    p_dose.add_argument("--dim", type=_dim, default=2,
                         help="outer-product dimensionality")
-    p_dose.add_argument("--out", default=None)
     p_dose.set_defaults(func=_cmd_demo_dose)
 
-    p_db = demo_sub.add_parser("deblur",
-                               help="blur + reconstruct round trip")
+    p_db = demo_sub.add_parser("deblur", help="blur + reconstruct round trip",
+                               parents=[demo_seq, out])
     p_db.add_argument("--object", required=True,
                       help="object file: CSV (real) or sequence/grid JSON")
-    p_db.add_argument("--family", required=True)
-    p_db.add_argument("--n", type=int, default=None)
-    p_db.add_argument("--s", default=None)
-    p_db.add_argument("--out", default=None)
     p_db.set_defaults(func=_cmd_demo_deblur)
 
-    p_list = sub.add_parser("list", help="list families and fixtures")
-    p_list.add_argument("--out", default=None)
+    p_list = sub.add_parser("list", help="list families and fixtures",
+                            parents=[out])
     p_list.set_defaults(func=_cmd_list)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "dim", None) is not None and args.dim < 1:
-        parser.error("--dim must be >= 1")
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ArgumentError as exc:

@@ -197,6 +197,8 @@ def from_json_obj(obj: dict):
             dtype=np.complex128)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ArgumentError(f"malformed sequence object: {exc}") from exc
+    if not (np.isfinite(elements).all() and np.isfinite(sc)):
+        raise ArgumentError("sequence object holds a non-finite value")
     if "shape" in obj:
         try:
             shape = tuple(int(d) for d in obj["shape"])

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 
@@ -37,26 +38,38 @@ from .core import ArgumentError, DomainError, Sequence, fib_poly
 
 def _sqrt(x):
     """Square root on the principal branch; stays real when it can."""
-    if isinstance(x, complex):
-        return cmath.sqrt(x)
-    if x < 0:
+    if isinstance(x, complex) or x < 0:
         return cmath.sqrt(x)
     return math.sqrt(x)
 
 
-def _check_scale(s, family: str):
+def _check_scale(s, family: str, excluded=(0,)):
+    """The scale s as a Python number.  ArgumentError when s is missing, not
+    a number, not finite (real or imaginary part), or one of the family's
+    ``excluded`` values."""
     if s is None:
         raise ArgumentError(f"family {family!r} requires a scale parameter s")
-    if isinstance(s, (bool, np.bool_)):
-        raise ArgumentError("scale parameter must be a number")
-    if isinstance(s, (np.integer,)):
-        return int(s)
-    if isinstance(s, (np.floating,)):
-        return float(s)
-    if isinstance(s, (np.complexfloating,)):
-        return complex(s)
-    if not isinstance(s, (int, float, complex)):
-        raise ArgumentError(f"scale parameter must be a number, got {s!r}")
+    if type(s) not in (int, float, complex):  # numpy scalars, bool, others
+        if isinstance(s, (bool, np.bool_)):
+            raise ArgumentError("scale parameter must be a number")
+        if isinstance(s, (np.integer,)):
+            s = int(s)
+        elif isinstance(s, (np.floating,)):
+            s = float(s)
+        elif isinstance(s, (np.complexfloating,)):
+            s = complex(s)
+        elif not isinstance(s, (int, float, complex)):
+            raise ArgumentError(
+                f"scale parameter must be a number, got {s!r}")
+    try:
+        finite = cmath.isfinite(s)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ArgumentError(f"{family} requires a finite scale s")
+    if s in excluded:
+        raise ArgumentError(f"{family} requires s outside "
+                            f"{{{', '.join(map(str, excluded))}}}")
     return s
 
 
@@ -74,23 +87,27 @@ def _check_length(N, family: str, *, minimum: int, mod4=None, odd=False):
     return N
 
 
+def _fib_parts(N, s, family: str, *, minimum: int, mod4: int, sign=1):
+    """Checked s and the parts of the Fibonacci layouts, M = (N-3)/2: the
+    head 2sF_1 .. 2sF_M, the centre sF_{M+1} - 2F_M and the mirrored half
+    sign*2sF_{-M} .. sign*2sF_{-1}."""
+    N = _check_length(N, family, minimum=minimum, mod4=mod4)
+    s = _check_scale(s, family)
+    M = (N - 3) // 2
+    head = [2 * s * fib_poly(k, s) for k in range(1, M + 1)]
+    centre = s * fib_poly(M + 1, s) - 2 * fib_poly(M, s)
+    mirror = [sign * 2 * s * fib_poly(-k, s) for k in range(M, 0, -1)]
+    return s, head, centre, mirror
+
+
 def gen_fibonacci(N: int, s) -> Sequence:
     """Canonical sequence of length N = 4n+3 built from Fibonacci polynomials.
 
     Layout: [1, 2sF_1 .. 2sF_M, sF_{M+1} - 2F_M, 2sF_{-M} .. 2sF_{-1}, -1]
     with M = (N-3)/2.  Integer s gives exactly integer elements.
     """
-    N = _check_length(N, "fib", minimum=7, mod4=3)
-    s = _check_scale(s, "fib")
-    if s == 0:
-        raise ArgumentError("fib requires s != 0")
-    M = (N - 3) // 2
-    el = [1]
-    el += [2 * s * fib_poly(k, s) for k in range(1, M + 1)]
-    el.append(s * fib_poly(M + 1, s) - 2 * fib_poly(M, s))
-    el += [2 * s * fib_poly(-k, s) for k in range(M, 0, -1)]
-    el.append(-1)
-    return Sequence(el, family="fib", scale=s)
+    s, head, centre, mirror = _fib_parts(N, s, "fib", minimum=7, mod4=3)
+    return Sequence([1, *head, centre, *mirror, -1], family="fib", scale=s)
 
 
 def gen_h_plus(N: int, s) -> Sequence:
@@ -98,17 +115,9 @@ def gen_h_plus(N: int, s) -> Sequence:
     non-zero entries {1, -2*sqrt(P-2), P, -2*sqrt(P-2), 1}, the side values
     sitting at lags +-(N-1)/2.
     """
-    N = _check_length(N, "hplus", minimum=5, mod4=1)
-    s = _check_scale(s, "hplus")
-    if s == 0:
-        raise ArgumentError("hplus requires s != 0")
-    M = (N - 3) // 2
-    el = [1]
-    el += [2 * s * fib_poly(k, s) for k in range(1, M + 1)]
-    el.append(s * fib_poly(M + 1, s) - 2 * fib_poly(M, s))
-    el += [-2 * s * fib_poly(-k, s) for k in range(M, 0, -1)]
-    el.append(1)
-    return Sequence(el, family="hplus", scale=s)
+    s, head, centre, mirror = _fib_parts(N, s, "hplus", minimum=5, mod4=1,
+                                         sign=-1)
+    return Sequence([1, *head, centre, *mirror, 1], family="hplus", scale=s)
 
 
 def gen_perfect_fib(N: int, s) -> Sequence:
@@ -118,21 +127,15 @@ def gen_perfect_fib(N: int, s) -> Sequence:
 
     Layout: [sF_{M+1} - 2F_M, 2sF_{-M}, ..., 2sF_{-1}, 0, 2sF_1, ..., 2sF_M].
     """
-    N = _check_length(N, "perfect_fib", minimum=7, mod4=3)
-    s = _check_scale(s, "perfect_fib")
-    if s == 0:
-        raise ArgumentError("perfect_fib requires s != 0")
-    M = (N - 3) // 2
-    el = [s * fib_poly(M + 1, s) - 2 * fib_poly(M, s)]
-    el += [2 * s * fib_poly(k, s) for k in range(-M, M + 1)]
-    return Sequence(el, family="perfect_fib", scale=s)
+    s, head, centre, mirror = _fib_parts(N, s, "perfect_fib", minimum=7,
+                                         mod4=3)
+    return Sequence([centre, *mirror, 2 * s * fib_poly(0, s), *head],
+                    family="perfect_fib", scale=s)
 
 
 def gen_h9a(s) -> Sequence:
     """Length-9 canonical sequence with opposite-signed ends 1 ... -1."""
     s = _check_scale(s, "h9a")
-    if s == 0:
-        raise ArgumentError("h9a requires s != 0")
     r = _sqrt(8 + s * s)
     # The two interior elements beside the center carry -s -+ s^2*r/2: the
     # unique values that zero every interior autocorrelation lag (the oracle
@@ -150,8 +153,6 @@ def gen_h9a(s) -> Sequence:
 def gen_h9b(s) -> Sequence:
     """Length-9 canonical sequence with matched ends 1 ... 1."""
     s = _check_scale(s, "h9b")
-    if s == 0:
-        raise ArgumentError("h9b requires s != 0")
     u = math.sqrt(2) * (4 + s * s)
     d = s * (4 + 2 * s * s - u) / 4
     e = s * s * (8 + 3 * s * s - 2 * u) / 8
@@ -162,8 +163,6 @@ def gen_h9b(s) -> Sequence:
 def gen_h13a(s) -> Sequence:
     """Length-13 canonical sequence with opposite-signed ends."""
     s = _check_scale(s, "h13a")
-    if s == 0:
-        raise ArgumentError("h13a requires s != 0")
     r = _sqrt(4 + s * s)
     # Ninth element is (3+s^2)(s-r)/2: the unique value zeroing the lag-8
     # autocorrelation together with its mirror partner (oracle-locked).
@@ -183,7 +182,7 @@ def gen_h13a(s) -> Sequence:
 
 def gen_h13b(s) -> Sequence:
     """Length-13 canonical sequence, polynomial in s (no radicals)."""
-    s = _check_scale(s, "h13b")
+    s = _check_scale(s, "h13b", excluded=())
     s2 = s * s
     s4 = s2 * s2
     el = [1, s, s2 / 2,
@@ -206,12 +205,10 @@ def gen_h17(s) -> Sequence:
     non-negative for every real s, since each sqrt(2)-reduced coefficient of
     the radicand polynomial is positive, but the guard stays).
     """
-    s = _check_scale(s, "h17")
-    if isinstance(s, complex):
-        if s.imag != 0:
-            raise ArgumentError("h17 requires a real scale parameter")
-        s = s.real
-    s = float(s)
+    s = _check_scale(s, "h17", excluded=())
+    if isinstance(s, complex) and s.imag != 0:
+        raise ArgumentError("h17 requires a real scale parameter")
+    s = float(s.real)
     rt2 = math.sqrt(2)
     s2 = s * s
     s4 = s2 * s2
@@ -272,8 +269,6 @@ def gen_h11(s) -> Sequence:
     length-11 Fibonacci form while cross-correlating weakly with it.
     Integer-valued at s in {1, 4, 11}."""
     s = _check_scale(s, "h11")
-    if s == 0:
-        raise ArgumentError("h11 requires s != 0")
     q = _sqrt(5 * (4 + s * s))
     el = [1, s,
           s * (s + q) / 2,
@@ -290,8 +285,6 @@ def gen_h11(s) -> Sequence:
 def gen_he4(s) -> Sequence:
     """Even-length (4) canonical sequence; unit-modulus elements at s = i."""
     s = _check_scale(s, "he4")
-    if s == 0:
-        raise ArgumentError("he4 requires s != 0")
     r = _sqrt(4 + s * s)
     el = [1, s, s * (s + r) / 2, -(s + r) / 2]
     return Sequence(el, family="he4", scale=s)
@@ -306,8 +299,6 @@ def gen_he6(s) -> Sequence:
     negative, so very large |s| can be rejected.
     """
     s = _check_scale(s, "he6")
-    if s == 0:
-        raise ArgumentError("he6 requires s != 0")
     r = _sqrt(4 + s * s)
     W = (1 + s * s) * r
     X = (4 + s * s) * (2 + s * (3 + s * s) * (r + s * (3 + s * (s + r))))
@@ -331,6 +322,16 @@ def gen_he6(s) -> Sequence:
     return Sequence([1, s, c, d, e, f], family="he6", scale=s)
 
 
+def _arb_parts(N, s, family: str, *, minimum: int):
+    """Checked N and s, t = sqrt(s) and the interior (-1)^k t^(1-k),
+    k = 2..N-1, shared by the arbitrary-length canonical and perfect
+    families; s must avoid {0, 1}."""
+    N = _check_length(N, family, minimum=minimum)
+    s = _check_scale(s, family, excluded=(0, 1))
+    t = _sqrt(s)
+    return N, s, t, [(-1) ** k * t ** (1 - k) for k in range(2, N)]
+
+
 def gen_h_arb(N: int, s) -> Sequence:
     """Canonical sequence of any length N >= 3.
 
@@ -338,16 +339,10 @@ def gen_h_arb(N: int, s) -> Sequence:
     (-1)^N * sqrt(s)^(3-N)/(s-1) close the construction.  s must avoid
     {0, 1}; the square root takes the principal branch.
     """
-    N = _check_length(N, "harb", minimum=3)
-    s = _check_scale(s, "harb")
-    if s == 0 or s == 1:
-        raise ArgumentError("harb requires s outside {0, 1}")
-    t = _sqrt(s)
+    N, s, t, interior = _arb_parts(N, s, "harb", minimum=3)
     a = 1 / (s - 1)
-    el = [a]
-    el += [(-1) ** k * t ** (1 - k) for k in range(2, N)]
-    el.append((-1) ** N * t ** (3 - N) * a)
-    return Sequence(el, family="harb", scale=s)
+    return Sequence([a, *interior, (-1) ** N * t ** (3 - N) * a],
+                    family="harb", scale=s)
 
 
 def gen_h_tan(N: int, s) -> Sequence:
@@ -357,9 +352,7 @@ def gen_h_tan(N: int, s) -> Sequence:
     (s^2-1)s^{-m-1} for m=(N-3)/2..1, -1/s]; s outside {0, 1, -1}.
     """
     N = _check_length(N, "htan", minimum=5, odd=True)
-    s = _check_scale(s, "htan")
-    if s == 0 or s == 1 or s == -1:
-        raise ArgumentError("htan requires s outside {0, 1, -1}")
+    s = _check_scale(s, "htan", excluded=(0, 1, -1))
     half = (N - 3) // 2
     el = [s]
     el += [(s * s - 1) * s ** (k - 1) for k in range(1, half + 1)]
@@ -375,16 +368,10 @@ def gen_perfect_arb(N: int, s) -> Sequence:
     leading element w = (1 + (-1)^{1+L} sqrt(s)^{2-L})/(s-1) sets every
     non-zero cyclic correlation to zero.
     """
-    N = _check_length(N, "perfect_arb", minimum=4)
-    s = _check_scale(s, "perfect_arb")
-    if s == 0 or s == 1:
-        raise ArgumentError("perfect_arb requires s outside {0, 1}")
+    N, s, t, interior = _arb_parts(N, s, "perfect_arb", minimum=4)
     L = N - 1
-    t = _sqrt(s)
     w = (1 + (-1) ** (1 + L) * t ** (2 - L)) / (s - 1)
-    el = [w]
-    el += [(-1) ** k * t ** (1 - k) for k in range(2, N)]
-    return Sequence(el, family="perfect_arb", scale=s)
+    return Sequence([w, *interior], family="perfect_arb", scale=s)
 
 
 _SQ3 = math.sqrt(3)
@@ -508,35 +495,19 @@ def generate(family: str, n=None, s=None) -> Sequence:
     neither.
     """
     if family in FAMILY_INFO:
-        fn, takes_n, takes_s, _ = FAMILY_INFO[family]
-        args = []
-        if takes_n:
-            if n is None:
-                raise ArgumentError(f"family {family!r} requires a length N")
-            args.append(n)
-        if takes_s:
-            args.append(s)
-            seq = fn(*args)
-        else:
-            if s is not None:
-                raise ArgumentError(
-                    f"family {family!r} takes no scale parameter")
-            seq = fn(*args)
-        if not takes_n and n is not None and int(n) != len(seq):
-            raise ArgumentError(
-                f"family {family!r} has fixed length {len(seq)}, got N={n}")
-        return seq
-    if family in _FIXTURES:
-        if n is not None or s is not None:
-            seq = fixtures(family)
-            if s is not None:
-                raise ArgumentError(
-                    f"fixture {family!r} takes no scale parameter")
-            if int(n) != len(seq):
-                raise ArgumentError(
-                    f"fixture {family!r} has fixed length {len(seq)}, "
-                    f"got N={n}")
-            return seq
-        return fixtures(family)
-    known = ", ".join(family_ids() + fixture_names())
-    raise ArgumentError(f"unknown family {family!r}; known: {known}")
+        kind, (fn, takes_n, takes_s, _) = "family", FAMILY_INFO[family]
+    elif family in _FIXTURES:
+        kind, fn = "fixture", partial(fixtures, family)
+        takes_n = takes_s = False
+    else:
+        known = ", ".join(family_ids() + fixture_names())
+        raise ArgumentError(f"unknown family {family!r}; known: {known}")
+    if takes_n and n is None:
+        raise ArgumentError(f"family {family!r} requires a length N")
+    if not takes_s and s is not None:
+        raise ArgumentError(f"{kind} {family!r} takes no scale parameter")
+    seq = fn(*([n] if takes_n else []), *([s] if takes_s else []))
+    if not takes_n and n is not None and int(n) != len(seq):
+        raise ArgumentError(
+            f"{kind} {family!r} has fixed length {len(seq)}, got N={n}")
+    return seq

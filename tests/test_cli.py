@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import huffseq
-from huffseq import gen_fibonacci, to_json_obj
+from huffseq import gen_fibonacci, outer, to_json_obj
 from huffseq.cli import main
 
 
@@ -96,6 +96,36 @@ class TestGen:
         assert code == 3
         assert "domain error" in err
 
+    @pytest.mark.parametrize("scale", ["inf", "-inf", "nan", "1,inf",
+                                       "nan,0"])
+    def test_non_finite_scale_exit_2(self, capsys, scale):
+        code, out, err = run(capsys, "gen", "--family", "fib", "--n", "7",
+                             "--s=" + scale)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_overflow_to_infinity_exit_3(self, capsys):
+        # Elements near 1e300**63 overflow to inf, which JSON cannot hold.
+        code, out, err = run(capsys, "gen", "--family", "fib", "--n", "127",
+                             "--s", "1e300")
+        assert code == 3
+        assert out == ""
+        assert "not finite" in err
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "x.json"
+        code, _, err = run(capsys, "gen", "--family", "fib", "--n", "7",
+                           "--s", "1", "--out", str(target))
+        assert code == 2
+        assert "cannot write" in err
+        assert not target.exists()
+
+    def test_list_flag_equals_list_verb(self, capsys):
+        _, via_flag, _ = run(capsys, "gen", "--list")
+        _, via_verb, _ = run(capsys, "list")
+        assert via_flag == via_verb
+
 
 class TestAnalyze:
     def test_canonical_verdict(self, capsys, tmp_path):
@@ -164,6 +194,30 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--in", path,
                            "--metrics", "sparkle")
         assert code == 2
+        assert "sparkle" in err
+
+    def test_unknown_metric_checked_before_reading(self, capsys, tmp_path):
+        code, _, err = run(capsys, "analyze", "--in",
+                           str(tmp_path / "absent.json"),
+                           "--metrics", "peak,sparkle")
+        assert code == 2
+        assert "unknown metric 'sparkle'" in err
+
+    def test_periodic_and_dual_exclude_each_other(self, capsys, tmp_path):
+        path = write_seq(tmp_path, gen_fibonacci(7, 1))
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--in", path, "--periodic", "--dual"])
+        assert exc.value.code == 2
+        assert "not allowed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("element", [float("nan"), float("inf")])
+    def test_non_finite_file_exit_2(self, capsys, tmp_path, element):
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps({"elements": [[element, 0], [1, 0]]}))
+        code, out, err = run(capsys, "analyze", "--in", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
 
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -207,6 +261,8 @@ class TestCompose:
         b = write_seq(tmp_path, gen_fibonacci(7, 1), "b.json")
         doc = run_json(capsys, "compose", "--op", "kron", a, b)
         assert doc["family"] == "kron"
+        assert doc["scale"] == [1.0, 0.0]
+        assert "shape" not in doc
         assert len(doc["elements"]) == 35
         assert [v[0] for v in doc["elements"][:7]] == \
             [1, 2, 2, 0, -2, 2, -1]
@@ -259,6 +315,18 @@ class TestDemo:
         assert doc["shape"] == [7]
         assert doc["split"] == 10.0
 
+    def test_dose_three_dim_matches_outer(self, capsys):
+        from huffseq import dose, min_pedestal, pedestal_masks, split_signs
+        row = gen_fibonacci(7, 1)
+        grid = outer(row, outer(row, row)).real
+        doc = run_json(capsys, "demo", "dose", "--family", "fib",
+                       "--n", "7", "--s", "1", "--dim", "3")
+        assert doc["shape"] == [7, 7, 7]
+        assert doc["min_element"] == grid.min()
+        assert doc["pedestal_offset"] == min_pedestal(grid)
+        assert doc["split"] == dose(split_signs(grid)).total_dose
+        assert doc["pedestal"] == dose(pedestal_masks(grid)).total_dose
+
     def test_dose_rejects_complex_family(self, capsys):
         code, _, err = run(capsys, "demo", "dose", "--family", "h9a",
                            "--s", "0,2", "--dim", "1")
@@ -297,6 +365,15 @@ class TestDemo:
         assert doc["end_term_bound"] == pytest.approx(0.234, abs=1e-3)
         assert doc["max_abs_error"] == pytest.approx(0.102, abs=1e-3)
         assert doc["max_abs_error"] <= doc["end_term_bound"]
+
+    def test_deblur_non_finite_csv_exit_2(self, capsys, tmp_path):
+        obj = tmp_path / "object.csv"
+        obj.write_text("nan,1,2\n")
+        code, out, err = run(capsys, "demo", "deblur", "--object", str(obj),
+                             "--family", "fib", "--n", "7", "--s", "1")
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
 
     def test_deblur_missing_object_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "demo", "deblur", "--object",

@@ -202,6 +202,16 @@ class TestJsonInterchange:
         with pytest.raises(ArgumentError):
             from_json_obj(payload)
 
+    @pytest.mark.parametrize("payload", [
+        {"elements": [[float("nan"), 0.0], [1.0, 0.0]]},
+        {"elements": [[1.0, float("-inf")]]},
+        {"elements": [[1.0, 0.0]], "scale": [float("nan"), 0.0]},
+        {"elements": [[1.0, 0.0], [float("inf"), 0.0]], "shape": [1, 2]},
+    ])
+    def test_non_finite_payloads_rejected(self, payload):
+        with pytest.raises(ArgumentError, match="non-finite"):
+            from_json_obj(payload)
+
 
 class TestAsArray:
     def test_accepts_sequence_list_and_ndarray(self):

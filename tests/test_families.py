@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from huffseq import (
+    FAMILY_INFO,
     ArgumentError,
     DomainError,
     family_ids,
@@ -312,12 +313,12 @@ class TestArgumentValidation:
         assert brute_is_canonical(seq)
 
     def test_h_arb_excluded_scales(self):
-        for bad in (0, 1):
+        for bad in (0, 1, 1 + 0j):
             with pytest.raises(ArgumentError):
                 gen_h_arb(5, bad)
 
     def test_h_tan_excluded_scales_and_lengths(self):
-        for bad in (0, 1, -1):
+        for bad in (0, 1, -1, np.float64(-1)):
             with pytest.raises(ArgumentError):
                 gen_h_tan(7, bad)
         with pytest.raises(ArgumentError):
@@ -344,6 +345,28 @@ class TestArgumentValidation:
     def test_perfect_arb_minimum_length(self):
         with pytest.raises(ArgumentError):
             gen_perfect_arb(3, 2)
+
+    def test_fibonacci_forms_reject_zero_scale(self):
+        for maker, N in ((gen_fibonacci, 7), (gen_h_plus, 9),
+                         (gen_perfect_fib, 7)):
+            with pytest.raises(ArgumentError):
+                maker(N, 0)
+
+    @pytest.mark.parametrize(
+        "family", [f for f in family_ids() if FAMILY_INFO[f][2]])
+    @pytest.mark.parametrize("s", [
+        math.inf, -math.inf, math.nan, complex(1, math.inf),
+        complex(math.nan, 0), np.float64(math.inf)],
+        ids=["inf", "-inf", "nan", "1+inf_j", "nan+0j", "np_inf"])
+    def test_non_finite_scale_rejected(self, family, s):
+        n = {"fib": 7, "hplus": 9, "perfect_fib": 7, "harb": 5, "htan": 7,
+             "perfect_arb": 5}.get(family)
+        with pytest.raises(ArgumentError, match="finite"):
+            generate(family, n=n, s=s)
+
+    def test_int_scale_beyond_float_range_rejected(self):
+        with pytest.raises(ArgumentError, match="finite"):
+            gen_fibonacci(7, 10 ** 400)
 
 
 class TestFixtureStore:
@@ -436,3 +459,10 @@ class TestDispatcher:
     def test_fixture_dispatch(self):
         seq = generate("b13")
         assert reals(seq) == reals(fixtures("b13"))
+
+    def test_fixture_dispatch_checks_like_a_family(self):
+        assert reals(generate("b13", n=13)) == reals(fixtures("b13"))
+        with pytest.raises(ArgumentError, match="fixed length 13"):
+            generate("b13", n=12)
+        with pytest.raises(ArgumentError, match="fixture 'b13' takes no"):
+            generate("b13", n=13, s=1)
