@@ -86,6 +86,24 @@ def _parse_scalar(text: str):
     return val
 
 
+def _join_scale_values(argv: list) -> list:
+    """Write '--s X' as '--s=X' when X starts with '-' and parses as a
+    scale: argparse takes a plain negative integer or decimal as an option
+    value but reads '-1e3', '-1,2' or '-inf' as an unknown option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--s" and tok.startswith("-"):
+            try:
+                _parse_scalar(tok)
+            except ArgumentError:
+                pass
+            else:
+                out[-1] = "--s=" + tok
+                continue
+        out.append(tok)
+    return out
+
+
 def _dim(text: str) -> int:
     dim = int(text)
     if dim < 1:
@@ -327,7 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_scale_values(argv))
     try:
         return args.func(args)
     except ArgumentError as exc:

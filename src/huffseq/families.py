@@ -20,15 +20,19 @@ perfect_  zero periodic autocorrelation at all non-zero shifts   N-1
 fib/arb
 ========  =====================================================  ==========
 
-All generators return a :class:`~huffseq.core.Sequence`; scalar arithmetic is
-done in Python numbers so integer scale parameters stay exact on the
-Fibonacci-based paths.
+All generators return a :class:`~huffseq.core.Sequence`.  The Fibonacci-based
+paths and the fixed-length families work in Python numbers, so integer scale
+parameters stay exact there.  The long families (harb, htan, perfect_arb) build
+their geometric interiors as numpy arrays through :func:`_powers`, which raises
+DomainError, before any power is taken, when an element would leave the float
+range.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -71,6 +75,44 @@ def _check_scale(s, family: str, excluded=(0,)):
         raise ArgumentError(f"{family} requires s outside "
                             f"{{{', '.join(map(str, excluded))}}}")
     return s
+
+
+# log of the largest float64 (about 709.78): e**x is in the float range,
+# the subnormals included, for |x| up to this.
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _powers(t, first: int, last: int, family: str, c=1):
+    """c * t**k for k = first, first +- 1, ..., last: float64 for a real t,
+    complex128 for a complex t through the polar form
+    c * |t|^k * (cos k*theta + i sin k*theta), theta = arg t, which CPython's
+    ``complex ** int`` also takes for |k| > 100.
+
+    Before any power is taken, DomainError when some |c * t**k| would leave
+    the float range: |log|c| + k log|t|| above log(max float).
+    """
+    r, theta = cmath.polar(t)
+    log_t, log_c = math.log(r), math.log(abs(c))
+    worst = max(abs(log_c + first * log_t), abs(log_c + last * log_t))
+    if worst > _LOG_MAX:
+        raise DomainError(f"{family} leaves the float range at this N and s: "
+                          f"an element would have |log| {worst:.0f} > "
+                          f"{_LOG_MAX:.1f}")
+    step = 1 if last >= first else -1
+    k = np.arange(first, last + step, step, dtype=np.float64)
+    if isinstance(t, complex):
+        p = np.empty(k.size, np.complex128)
+        mag, phase = np.power(r, k), theta * k
+        np.multiply(mag, np.cos(phase), out=p.real)
+        np.multiply(mag, np.sin(phase), out=p.imag)
+    else:
+        p = np.power(r, k)
+        if t < 0:  # pow(-r, k) = (-1)^k pow(r, k), without numpy's slow path
+            odd = p[1 - first % 2::2]
+            np.negative(odd, out=odd)
+    if c != 1:
+        p *= c
+    return p
 
 
 def _check_length(N, family: str, *, minimum: int, mod4=None, odd=False):
@@ -323,13 +365,22 @@ def gen_he6(s) -> Sequence:
 
 
 def _arb_parts(N, s, family: str, *, minimum: int):
-    """Checked N and s, t = sqrt(s) and the interior (-1)^k t^(1-k),
-    k = 2..N-1, shared by the arbitrary-length canonical and perfect
-    families; s must avoid {0, 1}."""
+    """Checked N and s, a = 1/(s-1), x = (-1)^N t^(3-N) with t = sqrt(s),
+    and the interior (-1)^k t^(1-k), k = 2..N-1, shared by the
+    arbitrary-length canonical and perfect families; s must avoid {0, 1}.
+    DomainError when the interior or the end term x*a leaves the float
+    range."""
     N = _check_length(N, family, minimum=minimum)
     s = _check_scale(s, family, excluded=(0, 1))
     t = _sqrt(s)
-    return N, s, t, [(-1) ** k * t ** (1 - k) for k in range(2, N)]
+    interior = _powers(t, -1, 2 - N, family)
+    odd = interior[1::2]
+    np.negative(odd, out=odd)
+    a = 1 / (s - 1)
+    x = (-1) ** N * t ** (3 - N)   # t^(3-N) is in interior's checked range
+    if not cmath.isfinite(x * a):
+        raise DomainError(f"{family} end term leaves the float range")
+    return N, s, a, x, interior
 
 
 def gen_h_arb(N: int, s) -> Sequence:
@@ -339,10 +390,10 @@ def gen_h_arb(N: int, s) -> Sequence:
     (-1)^N * sqrt(s)^(3-N)/(s-1) close the construction.  s must avoid
     {0, 1}; the square root takes the principal branch.
     """
-    N, s, t, interior = _arb_parts(N, s, "harb", minimum=3)
-    a = 1 / (s - 1)
-    return Sequence([a, *interior, (-1) ** N * t ** (3 - N) * a],
-                    family="harb", scale=s)
+    N, s, a, x, interior = _arb_parts(N, s, "harb", minimum=3)
+    el = np.empty(N, np.complex128)
+    el[0], el[1:-1], el[-1] = a, interior, x * a
+    return Sequence(el, family="harb", scale=s)
 
 
 def gen_h_tan(N: int, s) -> Sequence:
@@ -354,11 +405,14 @@ def gen_h_tan(N: int, s) -> Sequence:
     N = _check_length(N, "htan", minimum=5, odd=True)
     s = _check_scale(s, "htan", excluded=(0, 1, -1))
     half = (N - 3) // 2
-    el = [s]
-    el += [(s * s - 1) * s ** (k - 1) for k in range(1, half + 1)]
-    el.append(s ** (-half) - s ** half)
-    el += [(s * s - 1) * s ** (-m - 1) for m in range(half, 0, -1)]
-    el.append(-1 / s)
+    # (s^2-1)s^k for k = -(half+1)..half-1: the second run is runs[:half],
+    # the first runs[half+1:].  Both ends in the float range put the
+    # middle's s^(+-half) in it too.
+    runs = _powers(s, -half - 1, half - 1, "htan", c=s * s - 1)
+    el = np.empty(N, np.complex128)
+    el[0], el[1:half + 1] = s, runs[half + 1:]
+    el[half + 1] = s ** (-half) - s ** half
+    el[half + 2:-1], el[-1] = runs[:half], -1 / s
     return Sequence(el, family="htan", scale=s)
 
 
@@ -368,10 +422,10 @@ def gen_perfect_arb(N: int, s) -> Sequence:
     leading element w = (1 + (-1)^{1+L} sqrt(s)^{2-L})/(s-1) sets every
     non-zero cyclic correlation to zero.
     """
-    N, s, t, interior = _arb_parts(N, s, "perfect_arb", minimum=4)
-    L = N - 1
-    w = (1 + (-1) ** (1 + L) * t ** (2 - L)) / (s - 1)
-    return Sequence([w, *interior], family="perfect_arb", scale=s)
+    N, s, _, x, interior = _arb_parts(N, s, "perfect_arb", minimum=4)
+    el = np.empty(N - 1, np.complex128)
+    el[0], el[1:] = (1 + x) / (s - 1), interior
+    return Sequence(el, family="perfect_arb", scale=s)
 
 
 _SQ3 = math.sqrt(3)
@@ -510,4 +564,7 @@ def generate(family: str, n=None, s=None) -> Sequence:
     if not takes_n and n is not None and int(n) != len(seq):
         raise ArgumentError(
             f"{kind} {family!r} has fixed length {len(seq)}, got N={n}")
+    if not np.isfinite(seq.elements).all():
+        raise DomainError(f"{family} overflows at this N and s: an element "
+                          f"of its output is not finite")
     return seq

@@ -3,6 +3,8 @@ library.  Everything here is pure Python over complex numbers: no numpy, no
 shared code with the package under test.
 """
 
+import cmath
+import math
 from fractions import Fraction
 
 
@@ -153,3 +155,39 @@ def brute_xcorr_2d_int(f, g):
             row.append(acc)
         out.append(row)
     return out
+
+
+def _principal_sqrt(s):
+    """sqrt(s) on the principal branch, real for a real s >= 0."""
+    if isinstance(s, complex) or s < 0:
+        return cmath.sqrt(s)
+    return math.sqrt(s)
+
+
+def brute_h_arb(N, s):
+    """harb element by element: 1/(s-1), the interior (-1)^k t^(1-k) for
+    k = 2..N-1 and (-1)^N t^(3-N)/(s-1), with t = sqrt(s)."""
+    t = _principal_sqrt(s)
+    a = 1 / (s - 1)
+    return ([a] + [(-1) ** k * t ** (1 - k) for k in range(2, N)]
+            + [(-1) ** N * t ** (3 - N) * a])
+
+
+def brute_perfect_arb(N, s):
+    """perfect_arb element by element: the lead
+    (1 + (-1)^(1+L) t^(2-L))/(s-1), L = N-1, then harb's interior."""
+    t = _principal_sqrt(s)
+    L = N - 1
+    return ([(1 + (-1) ** (1 + L) * t ** (2 - L)) / (s - 1)]
+            + [(-1) ** k * t ** (1 - k) for k in range(2, N)])
+
+
+def brute_h_tan(N, s):
+    """htan element by element: s, the run (s^2-1) s^(k-1) for
+    k = 1..h, h = (N-3)/2, the middle s^-h - s^h, the run (s^2-1) s^(-m-1)
+    for m = h..1, and -1/s."""
+    half = (N - 3) // 2
+    return ([s] + [(s * s - 1) * s ** (k - 1) for k in range(1, half + 1)]
+            + [s ** (-half) - s ** half]
+            + [(s * s - 1) * s ** (-m - 1) for m in range(half, 0, -1)]
+            + [-1 / s])

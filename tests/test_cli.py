@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,14 @@ class TestGen:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("scale", ["-1e3", "-1,2", "-inf"])
+    def test_negative_scale_spellings_agree(self, capsys, scale):
+        # argparse reads these as options unless they are joined to --s.
+        spaced = run(capsys, "gen", "--family", "h11", "--s", scale)
+        joined = run(capsys, "gen", "--family", "h11", "--s=" + scale)
+        assert spaced[:2] == joined[:2]
+        assert spaced[0] == (2 if scale == "-inf" else 0)
 
     def test_overflow_to_infinity_exit_3(self, capsys):
         # Elements near 1e300**63 overflow to inf, which JSON cannot hold.
@@ -326,6 +335,16 @@ class TestDemo:
         assert doc["pedestal_offset"] == min_pedestal(grid)
         assert doc["split"] == dose(split_signs(grid)).total_dose
         assert doc["pedestal"] == dose(pedestal_masks(grid)).total_dose
+
+    def test_dose_overflow_exit_3(self, capsys):
+        # The overflowing row is rejected before numpy sees it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "demo", "dose", "--family", "fib",
+                                 "--n", "7", "--s", "1e300", "--dim", "2")
+        assert code == 3
+        assert out == ""
+        assert "overflows" in err
 
     def test_dose_rejects_complex_family(self, capsys):
         code, _, err = run(capsys, "demo", "dose", "--family", "h9a",

@@ -3,6 +3,7 @@ brute-force correlation oracles."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from huffseq import (
     gen_perfect_arb,
     gen_perfect_fib,
     generate,
+    is_canonical,
     kron,
     offset,
     quantize_round,
@@ -39,8 +41,11 @@ from huffseq import (
 from _oracles import (
     brute_autocorr,
     brute_energy,
+    brute_h_arb,
+    brute_h_tan,
     brute_is_canonical,
     brute_is_perfect,
+    brute_perfect_arb,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -190,6 +195,97 @@ class TestPerfectArrays:
         assert not brute_is_perfect(shifted)
         half = [v / 2 for v in reals(gen_perfect_fib(11, 1))]
         assert brute_is_perfect(half)
+
+
+def _long_scales(N):
+    """Scales of the four kinds, with |log|s|| * N/2 <= 2 so that every
+    element stays within e^2 of 1 at length N."""
+    m = math.exp(min(0.25, 4 / N))
+    return {"real+": m, "real-": -1 / m, "unit": cmath.exp(0.9j),
+            "complex": m * cmath.exp(-2.1j)}
+
+
+_ORACLES = {"harb": brute_h_arb, "htan": brute_h_tan,
+            "perfect_arb": brute_perfect_arb}
+
+# Lengths on both sides of the largest exponent |k| = 100, where CPython's
+# complex ** int switches from repeated multiplication to the polar form
+# (harb: |k| <= N-2; htan: |k| <= (N-1)/2), and the longest verify length.
+_LONG_CASES = ([("harb", N) for N in (5, 101, 102, 103, 16383)]
+               + [("perfect_arb", N) for N in (5, 101, 103, 16383)]
+               + [("htan", N) for N in (5, 199, 201, 203, 205, 16383)])
+
+
+def _periodic_offpeak(a, dual):
+    """Largest |cyclic correlation| at a non-zero shift, by FFT."""
+    spec = np.fft.fft(a)
+    other = np.fft.fft(np.roll(a[::-1], 1)) if dual else np.conj(spec)
+    return float(np.abs(np.fft.ifft(spec * other)[1:]).max())
+
+
+class TestLongFamilies:
+    """harb, htan and perfect_arb build their interiors as numpy arrays;
+    every element must agree with the element-by-element formulas of the
+    oracles, every output must pass its defining check, and a length and
+    scale whose elements leave the float range raise DomainError."""
+
+    @pytest.mark.parametrize("kind", ["real+", "real-", "unit", "complex"])
+    @pytest.mark.parametrize("family,N", _LONG_CASES)
+    def test_elements_match_oracle(self, family, N, kind):
+        s = _long_scales(N)[kind]
+        got = generate(family, n=N, s=s).elements.tolist()
+        ref = _ORACLES[family](N, s)
+        assert len(got) == len(ref)
+        worst = max(abs(g - r) / abs(r) for g, r in zip(got, ref))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["real+", "real-", "unit", "complex"])
+    @pytest.mark.parametrize("family,N", _LONG_CASES)
+    def test_defining_check(self, family, N, kind):
+        a = generate(family, n=N, s=_long_scales(N)[kind]).elements
+        dual = bool(np.any(a.imag != 0))
+        if family == "perfect_arb":
+            energy = float(np.sum(np.abs(a) ** 2))
+            assert _periodic_offpeak(a, dual) <= 1e-9 * energy
+        else:
+            assert is_canonical(a, dual=dual)
+
+    @pytest.mark.parametrize("maker,N,s", [
+        # A power overflows.
+        (gen_h_arb, 2048, 0.01), (gen_perfect_arb, 2048, 0.01),
+        (gen_h_tan, 4001, 2.0), (gen_h_tan, 16383, 2),
+        (gen_h_tan, 101, 1e-12), (gen_h_tan, 301, 1e-3 + 1e-3j),
+        (gen_h_arb, 101, 1e-12 + 1e-12j),
+        # The powers fit, but the end term t^(3-N)/(s-1) overflows.
+        (gen_h_arb, 13475, 0.9), (gen_perfect_arb, 13475, 0.9),
+        # s^5 fits, but the run element (s^2-1) s^4 overflows.
+        (gen_h_tan, 13, 1e55),
+        # sqrt(10)^-2046 is about 1e-1023: the tail, end term included,
+        # would be zeros.
+        (gen_h_arb, 2048, 10), (gen_perfect_arb, 2048, 10)])
+    def test_out_of_range_is_domain_error(self, maker, N, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="float range"):
+                maker(N, s)
+
+    @pytest.mark.parametrize("s", [1.2, 0.8, -1.2, 1.2 * cmath.exp(0.3j)])
+    def test_htan_at_the_range_limit(self, s):
+        # Lengths across the largest admitted one: a finite output or
+        # DomainError, never a raw OverflowError from the middle s^-h - s^h.
+        limit = int(math.log(np.finfo(float).max) / abs(math.log(abs(s))))
+        outcomes = set()
+        for half in range(limit - 10, limit + 3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    seq = gen_h_tan(2 * half + 3, s)
+                except DomainError:
+                    outcomes.add("rejected")
+                    continue
+            assert np.isfinite(seq.elements).all()
+            outcomes.add("finite")
+        assert outcomes == {"finite", "rejected"}
 
 
 class TestComplexScales:
@@ -362,6 +458,13 @@ class TestArgumentValidation:
         n = {"fib": 7, "hplus": 9, "perfect_fib": 7, "harb": 5, "htan": 7,
              "perfect_arb": 5}.get(family)
         with pytest.raises(ArgumentError, match="finite"):
+            generate(family, n=n, s=s)
+
+    @pytest.mark.parametrize("family,n,s", [
+        ("fib", 7, 1e300), ("hplus", 9, 1e300), ("perfect_fib", 7, 1e300),
+        ("h13b", None, 1e200), ("h9b", None, 1e200)])
+    def test_non_finite_output_is_domain_error(self, family, n, s):
+        with pytest.raises(DomainError, match="not finite"):
             generate(family, n=n, s=s)
 
     def test_int_scale_beyond_float_range_rejected(self):
