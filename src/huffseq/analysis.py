@@ -24,6 +24,8 @@ from .core import DEFAULT_TOL, ArgumentError, as_array, dft
 # more for unequal lengths (16 x 4096: 80 us against 238 us).
 _DIRECT_MAX = 2 ** 17
 _EPS = 2.0 ** -53   # unit round-off of float64
+_SHORT = 512        # longest array whose sum of squares math.hypot takes
+_FOLDED = 64        # partial sums a longer one is folded down to
 
 
 def _pow2_len(n: int) -> int:
@@ -62,10 +64,40 @@ def _fft_convolve(x, y, length, real: bool) -> np.ndarray:
     return z[tuple(slice(n) for n in full)]
 
 
-def _norm2(v: np.ndarray) -> float:
-    """Squared 2-norm of a real array, in float64."""
-    w = v if v.dtype == np.float64 else v.astype(np.float64)
-    return float(np.vdot(w, w))
+def _sumsq(v: np.ndarray) -> float:
+    """sum |v_i|^2 over every entry of a real or complex128 array, in float64,
+    on the calling thread, within about 1e-15 of the exact sum of the
+    rounded squares.
+
+    No BLAS: OpenBLAS hands a dot product of more than 10 000 elements to
+    worker threads, which go on spinning on a second core after it returns,
+    and its SIMD accumulation drifts by up to about n * 2^-53 (np.vdot of
+    1024 equal entries is 2e-15 off).  Up to _SHORT entries the root comes
+    from math.hypot, within 1 ulp.  Longer arrays are squared and folded in
+    half, the first half plus the second, until at most _FOLDED partial
+    sums are left for math.fsum, which rounds their exact total once: each
+    square goes through log2(n / _FOLDED) roundings of sums of like size on
+    the way."""
+    v = v.ravel()
+    if v.dtype != np.float64:
+        v = v.view(np.float64) if v.dtype == np.complex128 else \
+            v.astype(np.float64)
+    if v.size <= _SHORT:
+        root = math.hypot(*v.tolist())
+        return root * root
+    n, odd = v.size, []
+    with np.errstate(over="ignore"):   # an infinite square sums to inf
+        sq = v * v
+        while n > _FOLDED:
+            half = n // 2
+            if n % 2:
+                odd.append(float(sq[n - 1]))
+            np.add(sq[:half], sq[half:2 * half], out=sq[:half])
+            n = half
+    try:
+        return math.fsum(sq[:n].tolist() + odd)
+    except OverflowError:   # finite partial sums whose total is not
+        return math.inf
 
 
 def _fft_error_bound(x, y, norms2: float) -> float:
@@ -83,9 +115,14 @@ def _fft_error_bound(x, y, norms2: float) -> float:
 
 
 def _is_int(x: np.ndarray) -> bool:
-    """Integer dtype, or float entries that are all integers below 2^53."""
+    """Integer dtype, or float entries that are all integers below 2^53.
+    Up to 64 leading entries are tested on their own first, so that a
+    float array is rejected without a pass over all of it."""
     if x.dtype.kind != "f":
         return True
+    head = x[(0,) * (x.ndim - 1)][:64]
+    if head.size < x.size and np.count_nonzero(head != np.rint(head)):
+        return False
     return bool(np.abs(x).max() < 2.0 ** 53) and \
         not np.count_nonzero(x != np.rint(x))
 
@@ -94,18 +131,24 @@ def _method(x: np.ndarray, y: np.ndarray) -> str:
     """How :func:`_convolve` computes x * y: 'direct' (np.convolve), 'rfft'
     or 'fft' (float transforms), or, for integer-valued real inputs whose
     float direct sum could round, one of the exact methods 'fft_round',
-    'int64' and 'pyint'."""
+    'int64' and 'pyint'.  The norms are taken only by the two decisions that
+    read them, and once for an operand passed as both x and y."""
     small = x.ndim == 1 and x.size * y.size <= _DIRECT_MAX
     if x.dtype.kind == "c" or y.dtype.kind == "c":
         return "direct" if small else "fft"
-    norms2 = _norm2(x) * _norm2(y)
-    if small and norms2 < 2.0 ** 104:
-        # Exact for integer inputs: by Cauchy-Schwarz every partial sum is
-        # an integer of magnitude at most ||x|| ||y|| < 2^52.
-        return "direct"
-    if not (_is_int(x) and _is_int(y)):
-        return "direct" if small else "rfft"
-    if not small and _fft_error_bound(x, y, norms2) < 0.5:
+
+    def norms2() -> float:
+        nx = _sumsq(x)
+        return nx * (nx if y is x else _sumsq(y))
+
+    if small:
+        # Exact for integer inputs below the bound: by Cauchy-Schwarz every
+        # partial sum is an integer of magnitude at most ||x|| ||y|| < 2^52.
+        if norms2() < 2.0 ** 104 or not (_is_int(x) and _is_int(y)):
+            return "direct"
+    elif not (_is_int(x) and _is_int(y)):
+        return "rfft"
+    elif _fft_error_bound(x, y, norms2()) < 0.5:
         return "fft_round"
     amax = [int(np.abs(v).max()) for v in (x, y)]
     if amax[0] * amax[1] * min(x.size, y.size) < 2 ** 63:
@@ -154,11 +197,17 @@ def _kronecker(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=object).reshape(full)
 
 
-def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two arrays of equal rank by the method
-    :func:`_method` picks.  The exact methods return int64 or Python-int
-    (object) arrays holding the exact integer result."""
+def _convolve(x: np.ndarray, y: np.ndarray, flip: bool = False
+              ) -> np.ndarray:
+    """Full linear convolution of two arrays of equal rank, x reversed on
+    every axis first when ``flip`` (a correlation), by the method
+    :func:`_method` picks.  The pick comes before the reversal, which changes
+    nothing it reads, so an autocorrelation's one operand is both x and y.
+    The exact methods return int64 or Python-int (object) arrays holding the
+    exact integer result."""
     method = _method(x, y)
+    if flip:
+        x = x[(slice(None, None, -1),) * x.ndim]
     if method == "direct":
         return np.convolve(x, y)
     if method in ("rfft", "fft"):
@@ -239,7 +288,7 @@ def correlate(a, b=None, *, dual: bool = False,
                             f"{x.shape} and {y.shape}")
     if not dual and x.dtype.kind == "c":
         x = x.conj()
-    r = _convolve(x[(slice(None, None, -1),) * x.ndim], y)
+    r = _convolve(x, y, flip=True)
     if periodic:
         r = _fold(r, x.shape)
     return np.asarray(r, dtype=np.complex128)
@@ -407,8 +456,7 @@ def _offpeak_power(f) -> tuple:
     if energy == 0:
         raise ArgumentError("merit factor is undefined for the zero sequence")
     r = correlate(a)
-    side = r[a.size:]  # strictly positive lags
-    return energy, float(np.vdot(side, side).real)
+    return energy, _sumsq(r[a.size:])   # strictly positive lags
 
 
 def merit_factor(f) -> float:
@@ -435,7 +483,7 @@ def merit_factor_exact(f) -> Fraction:
         ints = a.real.astype(np.int64)
     else:
         ints = np.array([int(v) for v in a.real], dtype=object)
-    r = _convolve(ints[::-1], ints)
+    r = _convolve(ints, ints, flip=True)
     energy = int(r[a.size - 1])
     if energy == 0:
         raise ArgumentError("merit factor is undefined for the zero sequence")

@@ -15,13 +15,14 @@ sum_j w_j (obj * m_j) = obj * sum_j w_j m_j.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ArgumentError, as_array
-from .analysis import convolve, correlate, nd_autocorr
+from .analysis import _sumsq, convolve, correlate, nd_autocorr
 
 _WEIGHTS = {"split_sign": (1, -1), "pedestal": (0.5, -0.5),
             "split_complex": (1, -1, 1j, -1j)}
@@ -204,11 +205,8 @@ def reconstruct(s_t, h, dual: bool = False) -> np.ndarray:
             f"mask is not delta-correlated (worst interior residual {worst:g}"
             f" vs peak {abs(peak):g}); reconstruction will carry artifacts",
             stacklevel=2)
-    full = correlate(k, st, dual=dual) / peak
-    crop = tuple(
-        slice(kn - 1, kn - 1 + (sn - kn + 1))
-        for sn, kn in zip(st.shape, k.shape))
-    return full[crop]
+    crop = tuple(slice(kn - 1, sn) for sn, kn in zip(st.shape, k.shape))
+    return correlate(k, st, dual=dual)[crop] / peak
 
 
 @dataclass(frozen=True)
@@ -227,11 +225,9 @@ def recon_error(obj, obj_hat) -> ReconError:
         raise ArgumentError(
             f"shape mismatch: {o.shape} vs {oh.shape}")
     diff = oh - o
-    denom = float(np.linalg.norm(o.ravel()))
-    rel = float(np.linalg.norm(diff.ravel())) / denom if denom else \
-        float(np.linalg.norm(diff.ravel()))
+    err, denom = math.sqrt(_sumsq(diff)), math.sqrt(_sumsq(o))
     return ReconError(max_abs_error=float(np.abs(diff).max()),
-                      rel_l2_error=rel)
+                      rel_l2_error=err / denom if denom else err)
 
 
 def end_term_bound(h, obj_max: float = 1.0, dual: bool = False) -> float:

@@ -3,21 +3,36 @@ direct/FFT crossover, in 1-D and 2-D, cross-checked against the brute-force
 oracles.  Integer-valued inputs must give the correctly rounded float of the
 exact integer correlation, so those cases compare bit for bit."""
 
+import math
+import os
+import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from huffseq import (
     ArgumentError,
+    autocorr,
     convolve,
     correlate,
+    end_term_bound,
+    generate,
+    is_canonical,
+    measure,
+    merit_factor,
     merit_factor_exact,
     nd_autocorr,
+    outer,
+    pedestal_masks,
+    recon_error,
+    reconstruct,
 )
-from huffseq.analysis import _method, _operands
+from huffseq.analysis import _FOLDED, _SHORT, _method, _operands, _sumsq
 
 from _oracles import (
     brute_autocorr_2d,
@@ -77,6 +92,87 @@ INT_CASES = [
     ("pyint", ints(60, 45), ints(70, 45)),
     ("pyint", ints(3, 52), ints(500, 52)),
 ]
+
+FIB19_ROW = generate("fib", n=19, s=1)
+FIB19_MASK = outer(FIB19_ROW, FIB19_ROW).real   # integers up to 1764
+
+# Inputs whose method turns on the norms (the direct bound up to 2^17
+# element pairs, Percival's certificate above them), plus autocorrelations
+# (g is None), whose one operand is passed as both x and y.
+NORM_CASES = [
+    ("direct", ints(300, 20), None),
+    ("pyint", ints(50, 40), None),
+    ("fft_round", ints(600, 10), None),
+    ("int64", ints(600, 24), None),
+    ("pyint", ints(400, 45), ints(400, 45)),
+    ("rfft", RNG.normal(size=20000), None),
+    ("fft", RNG.normal(size=20000) + 1j, None),
+    ("fft_round", ints((4, 5), 8), ints((3, 6), 8)),
+    ("int64", ints((4, 5), 26), ints((3, 6), 26)),
+    ("pyint", ints((4, 5), 45), ints((3, 6), 45)),
+    ("fft_round", FIB19_MASK, None),
+    ("rfft", RNG.random((64, 64)), FIB19_MASK),
+]
+
+
+class TestMethodChoice:
+    @pytest.mark.parametrize("method,f,g", FLOAT_CASES + INT_CASES
+                             + NORM_CASES)
+    def test_reversal_and_shared_operand_keep_the_method(self, method, f, g):
+        # correlate picks the method before it reverses x, and with y the
+        # very same array for an autocorrelation; the choice is the one made
+        # on the reversed copy.
+        x, y = _operands(f, g)
+        assert method_of(f, g) == method
+        assert _method(x, y) == method
+        assert (y is x) == (g is None)
+
+
+class TestSumOfSquares:
+    SIZES = st.integers(1, 70_000) | st.sampled_from(
+        [_FOLDED, _FOLDED + 1, _SHORT, _SHORT + 1, 9_999, 10_000, 10_001])
+    # Squares and their sums stay normal floats: no underflow, no overflow.
+    VALUES = st.just(0.0) | st.floats(1e-100, 1e100) | \
+        st.floats(-1e100, -1e-100)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), SIZES, st.booleans())
+    def test_matches_fsum_of_squares(self, data, n, is_complex):
+        parts = [data.draw(arrays(np.float64, n, elements=self.VALUES))
+                 for _ in range(1 + is_complex)]
+        v = parts[0] + 1j * parts[1] if is_complex else parts[0]
+        want = math.fsum(x * x for part in parts for x in part.tolist())
+        assert abs(_sumsq(v) - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("n,value", [
+        (3, 1e200), (1000, 1e153), (1000, 1e200)])
+    def test_overflow_gives_inf_quietly(self, n, value):
+        # As np.vdot did: a sum beyond the float range is inf, and no numpy
+        # warning is printed, whether a square or only the total overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _sumsq(np.full(n, value)) == math.inf
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="a second core is needed to show threaded work")
+def test_deblur_and_long_analysis_stay_on_one_core():
+    """Process CPU time over wall time of a 256^2 deblur round trip and a
+    16k-element analysis: about 2 while a BLAS call spreads to threads that
+    then busy-wait, 1 when every reduction stays on the calling thread."""
+    obj = np.random.default_rng(5).random((256, 256))
+    seq = generate("harb", n=16383, s=float(np.exp(4 / 16383)))
+    time.sleep(0.1)   # threads woken by earlier tests go back to sleep
+    cpu0, wall0 = time.process_time(), time.perf_counter()
+    est = reconstruct(measure(obj, pedestal_masks(FIB19_MASK)), FIB19_MASK)
+    recon_error(obj, est)
+    end_term_bound(FIB19_MASK, obj_max=float(obj.max()))
+    autocorr(seq)
+    is_canonical(seq)
+    merit_factor(seq)
+    cpu, wall = time.process_time() - cpu0, time.perf_counter() - wall0
+    assert cpu / wall <= 1.3
 
 
 class TestFloatMethods:
