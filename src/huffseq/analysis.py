@@ -5,6 +5,13 @@ Lag convention: xcorr(f, g)[k] = sum_i c(f_i) * g_{i+k} for k from -(|f|-1)
 to |g|-1, where c is conjugation when ``conjugate`` is true.  A profile's
 zero lag therefore sits at index |f|-1.  Every correlation and convolution in
 the package goes through :func:`correlate` and :func:`convolve`.
+
+An autocorrelation on the FFT path transforms its operand once.  A
+:class:`~huffseq.core.Sequence` correlated with itself is computed once per
+sense (conjugating or dual) and shared by every later call on it, from
+:func:`autocorr` to :func:`is_canonical` and :func:`merit_factor`; its energy
+is kept the same way.  ndarray inputs are not memoised, and every returned
+array is a fresh writable copy.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ArgumentError, as_array, dft
+from .core import DEFAULT_TOL, ArgumentError, Sequence, _energy, as_array, dft
 
 # Largest |a|*|b| that np.convolve takes for 1-D inputs; longer ones use the
 # FFT.  Measured with numpy 2.4 on a 2-core x86-64 machine: balanced complex
@@ -50,17 +57,31 @@ def _full_shape(x: np.ndarray, y: np.ndarray) -> list:
     return [p + q - 1 for p, q in zip(x.shape, y.shape)]
 
 
-def _fft_convolve(x, y, length, real: bool) -> np.ndarray:
+def _fft_convolve(x, y, length, real: bool, dual: bool = False
+                  ) -> np.ndarray:
     """Full linear convolution by a zero-padded FFT over every axis, each
-    axis padded to ``length(full extent)``."""
-    full = _full_shape(x, y)
+    axis padded to ``length(full extent)``.  With ``y`` None it is instead
+    the autocorrelation of x (conjugating unless ``dual``) from the one
+    transform X of x: the inverse transform of |X|^2, or of X(w) X(-w) for
+    the dual one, is the cyclic autocorrelation, which is rotated to put
+    the zero lag at index shape-1 on every axis."""
+    full = _full_shape(x, x if y is None else y)
     s = [length(n) for n in full]
     axes = tuple(range(x.ndim))
     if real:
         fwd, inv = np.fft.rfftn, np.fft.irfftn
     else:
         fwd, inv = np.fft.fftn, np.fft.ifftn
-    z = inv(fwd(x, s, axes) * fwd(y, s, axes), s, axes)
+    spec = fwd(x, s, axes)
+    if y is not None:
+        spec = spec * fwd(y, s, axes)
+    elif dual and not real:   # for a real x, X(-w) is conj X(w)
+        spec = spec * np.roll(spec[(slice(None, None, -1),) * x.ndim], 1, axes)
+    else:
+        spec = spec * spec.conj()
+    z = inv(spec, s, axes)
+    if y is None:
+        z = np.roll(z, [n - 1 for n in x.shape], axes)
     return z[tuple(slice(n) for n in full)]
 
 
@@ -107,7 +128,8 @@ def _fft_error_bound(x, y, norms2: float) -> float:
     with e = b = 2^-53 the round-off of the arithmetic and of the twiddle
     factors; ``norms2`` is ||x||_2^2 ||y||_2^2.  The theorem is proved for
     the radix-2 complex FFT; numpy's mixed-radix real transform is taken to
-    stay within it."""
+    stay within it.  It bounds each spectrum by the error of one transform,
+    so it covers an autocorrelation whose two spectra are one."""
     n = sum((m - 1).bit_length() for m in _full_shape(x, y))
     growth = math.expm1(6 * n * math.log1p(_EPS)
                         + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5)))
@@ -197,26 +219,31 @@ def _kronecker(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=object).reshape(full)
 
 
-def _convolve(x: np.ndarray, y: np.ndarray, flip: bool = False
-              ) -> np.ndarray:
-    """Full linear convolution of two arrays of equal rank, x reversed on
-    every axis first when ``flip`` (a correlation), by the method
-    :func:`_method` picks.  The pick comes before the reversal, which changes
-    nothing it reads, so an autocorrelation's one operand is both x and y.
-    The exact methods return int64 or Python-int (object) arrays holding the
-    exact integer result."""
+def _convolve(x: np.ndarray, y: np.ndarray, flip: bool = False,
+              dual: bool = False) -> np.ndarray:
+    """Full linear convolution of two arrays of equal rank by the method
+    :func:`_method` picks, or with ``flip`` the correlation of x against y:
+    x reversed on every axis, and conjugated unless ``dual``, first.  The
+    pick comes before the reversal, which changes nothing it reads, so an
+    autocorrelation's one operand is both x and y, and the FFT methods
+    transform it once.  The exact methods return int64 or Python-int
+    (object) arrays holding the exact integer result."""
     method = _method(x, y)
-    if flip:
+    if flip and y is x and method in ("rfft", "fft", "fft_round"):
+        y = None
+    elif flip:
         x = x[(slice(None, None, -1),) * x.ndim]
+        if not dual and x.dtype.kind == "c":
+            x = x.conj()
     if method == "direct":
         return np.convolve(x, y)
     if method in ("rfft", "fft"):
-        return _fft_convolve(x, y, _fast_len, real=method == "rfft")
+        return _fft_convolve(x, y, _fast_len, method == "rfft", dual)
     if method == "pyint":
         return _kronecker(x, y)
     if method == "int64":
         return _direct(x.astype(np.int64), y.astype(np.int64))
-    return np.rint(_fft_convolve(x, y, _pow2_len, real=True)).astype(np.int64)
+    return np.rint(_fft_convolve(x, y, _pow2_len, True)).astype(np.int64)
 
 
 def _real(x: np.ndarray) -> np.ndarray:
@@ -255,6 +282,26 @@ def convolve(a, b) -> np.ndarray:
     return np.asarray(_convolve(x, y), dtype=np.complex128)
 
 
+def _correlation(a, b, dual: bool, periodic: bool = False) -> tuple:
+    """The operands of correlate(a, b) and the raw :func:`_convolve` result
+    of their aperiodic correlation.  A Sequence correlated with itself keeps
+    that result, read-only, in its memo: one entry per sense, and one for
+    both when the elements are real, where the two agree."""
+    x, y = _operands(a, b)
+    if periodic and x.shape != y.shape:
+        raise ArgumentError("periodic correlation needs equal shapes, got "
+                            f"{x.shape} and {y.shape}")
+    memo = a._memo if isinstance(a, Sequence) and y is x else None
+    key = "dual" if dual and x.dtype.kind == "c" else "conj"
+    r = None if memo is None else memo.get(key)
+    if r is None:
+        r = _convolve(x, y, flip=True, dual=key == "dual")
+        if memo is not None:
+            r.setflags(write=False)
+            memo[key] = r
+    return x, r
+
+
 def correlate(a, b=None, *, dual: bool = False,
               periodic: bool = False) -> np.ndarray:
     """Correlation r_k = sum_i c(a_i) * b_{i+k} of two 1-D or n-D arrays
@@ -277,21 +324,21 @@ def correlate(a, b=None, *, dual: bool = False,
       lengths); otherwise directly in int64 when
       max|a| * max|b| * min(|a|, |b|) < 2^63; otherwise in Python ints.
 
+    A Sequence correlated with itself is computed once per sense and shared
+    by every later call on it (:func:`autocorr`, :func:`is_canonical`,
+    :func:`merit_factor`, ...); ndarray inputs are not memoised.  The result
+    is always a fresh writable array.
+
     Exactness: integer-valued inputs give the correctly rounded float of the
     exact integer correlation, bit-exact while it is below 2^53
     (:func:`merit_factor_exact` keeps the exact integers at any size).  Other
     inputs carry float round-off.
     """
-    x, y = _operands(a, b)
-    if periodic and x.shape != y.shape:
-        raise ArgumentError("periodic correlation needs equal shapes, got "
-                            f"{x.shape} and {y.shape}")
-    if not dual and x.dtype.kind == "c":
-        x = x.conj()
-    r = _convolve(x, y, flip=True)
+    x, r = _correlation(a, b, dual, periodic)
     if periodic:
-        r = _fold(r, x.shape)
-    return np.asarray(r, dtype=np.complex128)
+        r = _fold(r, x.shape)   # on the raw result: integer folds stay exact
+    out = np.asarray(r, dtype=np.complex128)
+    return out if out.flags.writeable else out.copy()
 
 
 _KINDS = ("aperiodic", "periodic", "dual_aperiodic")
@@ -347,7 +394,7 @@ def xcorr(f, g, conjugate: bool = True) -> CorrelationProfile:
     a, b = as_array(f), as_array(g)
     if a.ndim != 1 or b.ndim != 1:
         raise ArgumentError("xcorr expects 1-D sequences")
-    values = correlate(a, b, dual=not conjugate)
+    values = correlate(f, g, dual=not conjugate)
     lags = np.arange(-(a.size - 1), b.size)
     kind = "aperiodic" if conjugate else "dual_aperiodic"
     return _profile(values, kind, lags, a.size - 1)
@@ -371,7 +418,7 @@ def periodic_autocorr(f) -> CorrelationProfile:
         raise ArgumentError("periodic_autocorr expects a 1-D sequence")
     if a.size < 2:
         raise ArgumentError("periodic autocorrelation needs length >= 2")
-    values = correlate(a, periodic=True)
+    values = correlate(f, periodic=True)
     return _profile(values, "periodic", np.arange(a.size), 0)
 
 
@@ -406,6 +453,11 @@ class CanonicalReport:
         return self.is_canonical
 
 
+def _energy_of(f, a: np.ndarray) -> float:
+    """The energy of a = as_array(f), which a Sequence keeps."""
+    return f.energy if isinstance(f, Sequence) else _energy(a)
+
+
 def is_canonical(f, tol: float = DEFAULT_TOL, dual: bool = False
                  ) -> CanonicalReport:
     """Check that every autocorrelation lag except 0 and +-(N-1) has
@@ -416,10 +468,10 @@ def is_canonical(f, tol: float = DEFAULT_TOL, dual: bool = False
     a = as_array(f)
     if a.ndim != 1:
         raise ArgumentError("is_canonical expects a 1-D sequence")
-    energy = float(np.sum(np.abs(a) ** 2))
-    values = correlate(a, dual=dual)
+    energy = _energy_of(f, a)
+    values = _correlation(f, None, dual)[1]   # raw, and read-only if kept
     n = a.size
-    mags = np.abs(values)
+    mags = np.abs(values)   # of int64 or Python-int lags too: exact
     mags[0] = mags[n - 1] = mags[-1] = -1.0   # zero lag and the end lags
     idx = int(np.argmax(mags))
     worst = float(mags[idx])
@@ -452,11 +504,13 @@ def _offpeak_power(f) -> tuple:
         raise ArgumentError("merit_factor expects a 1-D sequence")
     if a.size < 2:
         raise ArgumentError("merit factor is undefined for length-1 input")
-    energy = float(np.sum(np.abs(a) ** 2))
+    energy = _energy_of(f, a)
     if energy == 0:
         raise ArgumentError("merit factor is undefined for the zero sequence")
-    r = correlate(a)
-    return energy, _sumsq(r[a.size:])   # strictly positive lags
+    # The strictly positive lags as computed: real for real elements, and
+    # int64 or Python ints on the exact paths, which _sumsq casts as
+    # correlate does.
+    return energy, _sumsq(_correlation(f, None, False)[1][a.size:])
 
 
 def merit_factor(f) -> float:

@@ -184,15 +184,16 @@ def _cmd_analyze(args) -> int:
     loaded = _load_sequence_file(args.infile)
     if not isinstance(loaded, Sequence):
         raise ArgumentError("analyze expects a 1-D sequence file")
-    arr = loaded.elements
-    if arr.size < 2:
+    if len(loaded) < 2:
         raise ArgumentError("analyze needs a sequence of length >= 2")
+    # The Sequence itself, not its elements, so that the profile, the
+    # verdict and the metrics share one autocorrelation per sense.
     if args.periodic:
-        prof = periodic_autocorr(arr)
-        verdict = {"perfect": is_perfect(arr, tol=args.tol)}
+        prof = periodic_autocorr(loaded)
+        verdict = {"perfect": is_perfect(loaded, tol=args.tol)}
     else:
-        prof = (dual_autocorr if args.dual else autocorr)(arr)
-        verdict = {"canonical": bool(is_canonical(arr, tol=args.tol,
+        prof = (dual_autocorr if args.dual else autocorr)(loaded)
+        verdict = {"canonical": bool(is_canonical(loaded, tol=args.tol,
                                                   dual=args.dual))}
     if args.csv:
         for lag, val in zip(prof.lags, prof.values):
@@ -200,7 +201,7 @@ def _cmd_analyze(args) -> int:
         return 0
     doc = {
         "family": loaded.family,
-        "length": int(arr.size),
+        "length": len(loaded),
         "kind": prof.kind,
         "profile": {
             "lags": [int(k) for k in prof.lags],

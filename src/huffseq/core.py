@@ -64,13 +64,26 @@ def fib_poly(n: int, s):
     return cur
 
 
+def _energy(arr: np.ndarray) -> float:
+    """sum |arr_i|^2, exact for integer entries (their magnitudes are), and
+    inf without a numpy warning beyond the float range."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.abs(arr) ** 2))
+
+
 @dataclass(frozen=True)
 class Sequence:
-    """Immutable 1-D complex sequence tagged with its family id and scale."""
+    """Immutable 1-D complex sequence tagged with its family id and scale.
+
+    ``_memo`` keeps what is computed once from the elements: the energy, and
+    the raw autocorrelations that :mod:`huffseq.analysis` stores there
+    read-only (one per sense) for every check to share."""
 
     elements: np.ndarray
     family: str = "custom"
     scale: complex = 1.0 + 0.0j
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.elements, dtype=np.complex128)
@@ -84,6 +97,11 @@ class Sequence:
         object.__setattr__(self, "elements", arr)
         object.__setattr__(self, "scale", complex(self.scale))
 
+    def __getstate__(self) -> dict:
+        """Copies and pickles leave the memo behind: numpy does not keep an
+        array read-only through either."""
+        return {**self.__dict__, "_memo": {}}
+
     def __len__(self) -> int:
         return self.elements.size
 
@@ -95,8 +113,10 @@ class Sequence:
 
     @property
     def energy(self) -> float:
-        """Sum of squared magnitudes."""
-        return float(np.sum(np.abs(self.elements) ** 2))
+        """Sum of squared magnitudes, computed once."""
+        if "energy" not in self._memo:
+            self._memo["energy"] = _energy(self.elements)
+        return self._memo["energy"]
 
 
 def as_array(seq) -> np.ndarray:

@@ -77,8 +77,9 @@ def brute_dft(f, length):
     return out
 
 
-def brute_autocorr_2d(grid):
-    """Full aperiodic 2-D autocorrelation (conjugating) as nested lists."""
+def brute_autocorr_2d(grid, conjugate=True):
+    """Full aperiodic 2-D autocorrelation (conjugating unless not
+    ``conjugate``) as nested lists."""
     rows = len(grid)
     cols = len(grid[0])
     out = []
@@ -90,7 +91,8 @@ def brute_autocorr_2d(grid):
                 for j in range(cols):
                     i2, j2 = i + k1, j + k2
                     if 0 <= i2 < rows and 0 <= j2 < cols:
-                        acc += complex(grid[i][j]).conjugate() \
+                        v = complex(grid[i][j])
+                        acc += (v.conjugate() if conjugate else v) \
                             * complex(grid[i2][j2])
             row.append(acc)
         out.append(row)

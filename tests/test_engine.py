@@ -3,8 +3,10 @@ direct/FFT crossover, in 1-D and 2-D, cross-checked against the brute-force
 oracles.  Integer-valued inputs must give the correctly rounded float of the
 exact integer correlation, so those cases compare bit for bit."""
 
+import copy
 import math
 import os
+import pickle
 import time
 import warnings
 from fractions import Fraction
@@ -17,22 +19,28 @@ from hypothesis.extra.numpy import arrays
 
 from huffseq import (
     ArgumentError,
+    Sequence,
     autocorr,
     convolve,
     correlate,
+    dual_autocorr,
     end_term_bound,
     generate,
     is_canonical,
+    is_perfect,
     measure,
     merit_factor,
     merit_factor_exact,
     nd_autocorr,
     outer,
     pedestal_masks,
+    periodic_autocorr,
     recon_error,
     reconstruct,
+    xcorr,
 )
-from huffseq.analysis import _FOLDED, _SHORT, _method, _operands, _sumsq
+from huffseq.analysis import (_DIRECT_MAX, _FOLDED, _SHORT, _method,
+                              _operands, _sumsq)
 
 from _oracles import (
     brute_autocorr_2d,
@@ -188,8 +196,12 @@ class TestFloatMethods:
         assert close(correlate(f, g, dual=True), want)
 
     def test_b_defaults_to_a(self):
+        # b None and b the array itself are the same autocorrelation; an
+        # equal copy makes a cross-correlation, whose two transforms round
+        # differently from the autocorrelation's one.
         f = FLOAT_CASES[3][1]
-        assert np.array_equal(correlate(f), correlate(f, f.copy()))
+        assert np.array_equal(correlate(f), correlate(f, f))
+        assert close(correlate(f), correlate(f, f.copy()), tol=1e-14)
 
 
 class TestIntegerMethods:
@@ -301,3 +313,192 @@ class TestMeritFactorExact:
     def test_barker_still_exact(self):
         assert merit_factor_exact([1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1,
                                    1]) == Fraction(169, 12)
+
+
+def cnormal(shape):
+    return RNG.normal(size=shape) + 1j * RNG.normal(size=shape)
+
+
+# Autocorrelations by one forward transform: lengths either side of the
+# direct bound (|a|^2 <= _DIRECT_MAX up to 362), odd and even.
+SIDE = math.isqrt(_DIRECT_MAX)
+
+
+class TestOneTransformAutocorrelation:
+    @pytest.mark.parametrize("n", [SIDE - 1, SIDE, SIDE + 1, SIDE + 2])
+    @pytest.mark.parametrize("kind,dual", [
+        ("real", False), ("complex", False), ("complex", True)])
+    def test_one_d_matches_oracle(self, n, kind, dual):
+        f = RNG.normal(size=n) if kind == "real" else cnormal(n)
+        assert method_of(f) == ("direct" if n <= SIDE else
+                                "rfft" if kind == "real" else "fft")
+        want = brute_xcorr(f.tolist(), f.tolist(), conjugate=not dual)
+        assert close(correlate(f, dual=dual), want, tol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(5, 6), (4, 7), (6, 4), (5, 5)])
+    @pytest.mark.parametrize("kind,dual", [
+        ("real", False), ("complex", False), ("complex", True)])
+    def test_two_d_matches_oracle(self, shape, kind, dual):
+        grid = RNG.normal(size=shape) if kind == "real" else cnormal(shape)
+        want = brute_autocorr_2d(grid.tolist(), conjugate=not dual)
+        assert close(correlate(grid, dual=dual), want, tol=1e-13)
+
+    @pytest.mark.parametrize("f", [ints(600, 10), ints(601, 10),
+                                   ints((4, 5), 8), ints((5, 6), 8)])
+    def test_fft_round_bit_identical(self, f):
+        assert method_of(f) == "fft_round"
+        exact = brute_xcorr_int(f, f) if f.ndim == 1 else \
+            brute_xcorr_2d_int(f, f)
+        got = correlate(f)
+        assert not got.imag.any()
+        assert np.array_equal(got.real, rounded(exact))
+
+
+# The seven entry points that share a Sequence's autocorrelation, each
+# called with a sequence and a sense flag (ignored where it has no dual).
+ENTRY_POINTS = {
+    "xcorr": lambda f, dual: xcorr(f, f, conjugate=not dual),
+    "autocorr": lambda f, dual: autocorr(f),
+    "dual_autocorr": lambda f, dual: dual_autocorr(f),
+    "periodic_autocorr": lambda f, dual: periodic_autocorr(f),
+    "is_canonical": lambda f, dual: is_canonical(f, dual=dual),
+    "is_perfect": lambda f, dual: is_perfect(f),
+    "merit_factor": lambda f, dual: merit_factor(f),
+}
+
+
+def comparable(res):
+    """A result in a form compared with ==."""
+    if hasattr(res, "values"):
+        return (res.values.tolist(), res.lags.tolist(), res.peak_value,
+                res.end_values, res.max_interior_offpeak)
+    return res
+
+
+class TestSequenceMemo:
+    """A Sequence computes its autocorrelation once per sense and shares it
+    with every later call; the results must not depend on that."""
+
+    ELEMENTS = st.sampled_from([
+        ("real", 2), ("real", 11), ("real", SIDE + 2), ("complex", 7),
+        ("complex", SIDE + 1), ("int", 9), ("int", 600), ("big_int", 40)])
+
+    @staticmethod
+    def _elements(kind, n, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "real":
+            return rng.normal(size=n)
+        if kind == "complex":
+            return rng.normal(size=n) + 1j * rng.normal(size=n)
+        bits = 50 if kind == "big_int" else 10
+        return rng.integers(1, 2 ** bits, size=n) * rng.choice((-1, 1), n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ELEMENTS, st.integers(0, 2 ** 32 - 1),
+           st.lists(st.tuples(st.sampled_from(sorted(ENTRY_POINTS)),
+                              st.booleans()), min_size=1, max_size=10))
+    def test_call_order_does_not_change_results(self, elements, seed, calls):
+        seq = Sequence(self._elements(*elements, seed))
+        for name, dual in calls:
+            call = ENTRY_POINTS[name]
+            assert comparable(call(seq, dual)) == \
+                comparable(call(np.array(seq.elements), dual))
+
+    @pytest.mark.parametrize("f", [RNG.normal(size=SIDE + 5),
+                                   cnormal(SIDE + 5), cnormal(12)])
+    def test_mutating_a_result_leaves_later_results(self, f):
+        seq, want = Sequence(f), correlate(f)
+        returned = [correlate(seq), autocorr(seq).values,
+                    periodic_autocorr(seq).values, correlate(seq, seq)]
+        for arr in returned:
+            arr[:] = 7.0
+        assert np.array_equal(correlate(seq), want)
+        assert np.array_equal(autocorr(seq).values, want)
+        assert np.array_equal(periodic_autocorr(seq).values,
+                              correlate(f, periodic=True))
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
+    def test_copies_start_without_the_memo(self, clone):
+        f = cnormal(SIDE + 5)
+        seq = Sequence(f)
+        want = correlate(seq)
+        twin = clone(seq)
+        correlate(twin)[:] = 7.0
+        assert np.array_equal(correlate(twin), want)
+        assert np.array_equal(correlate(seq), want)
+
+    @pytest.mark.parametrize("bits", [10, 30, 50])
+    def test_integer_fold_through_memo_exact(self, bits):
+        f = ints(64, bits)
+        seq = Sequence(f)
+        want = rounded(brute_periodic_autocorr_int(f))
+        autocorr(seq)   # fills the memo with the raw aperiodic lags
+        for _ in range(2):
+            got = correlate(seq, periodic=True)
+            assert not got.imag.any()
+            assert np.array_equal(got.real, want)
+
+    def test_plain_arrays_are_not_memoised(self):
+        f = RNG.normal(size=30)
+        first = correlate(f)
+        f[0] += 1.0
+        assert not np.array_equal(correlate(f), first)
+
+    @pytest.mark.parametrize("value", [1e160, 1e200])
+    def test_energy_of_huge_entries_is_inf_quietly(self, value):
+        seq = Sequence([value, 3.0, -1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert seq.energy == math.inf
+            assert is_canonical(seq).energy == math.inf
+
+    def test_integer_energy_exact(self):
+        seq = generate("fib", n=7, s=1)
+        assert seq.energy == 18.0
+        assert merit_factor(seq) == 162.0
+
+
+class TestTransformCount:
+    """np.fft calls, counted by monkeypatching: an autocorrelation takes
+    one forward and one inverse transform, and a Sequence takes one
+    autocorrelation for every check on it."""
+
+    FORWARD = ("fft", "fftn", "rfft", "rfftn")
+    INVERSE = ("ifft", "ifftn", "irfft", "irfftn")
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"forward": 0, "inverse": 0}
+        for kind, names in (("forward", self.FORWARD),
+                            ("inverse", self.INVERSE)):
+            for name in names:
+                def counted(*args, _fn=getattr(np.fft, name), _kind=kind,
+                            **kwargs):
+                    counts[_kind] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(np.fft, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("f,dual", [
+        (RNG.normal(size=16384), False), (cnormal(16384), False),
+        (cnormal(16384), True), (ints(600, 10), False),
+        (cnormal((40, 50)), True)])
+    def test_transform_count_one_autocorrelation(self, counts, f, dual):
+        correlate(f, dual=dual)
+        assert counts == {"forward": 1, "inverse": 1}
+
+    @pytest.mark.parametrize("s", [float(np.exp(4 / 16383)),
+                                   complex(np.exp(1j))])
+    def test_transform_count_sequence_checks(self, counts, s):
+        seq = generate("harb", n=16383, s=s)
+        autocorr(seq)
+        is_canonical(seq)
+        merit_factor(seq)
+        is_perfect(seq)
+        assert counts == {"forward": 1, "inverse": 1}
+
+    def test_transform_count_cross_correlation(self, counts):
+        f = RNG.normal(size=16384)
+        correlate(f, f.copy())
+        assert counts == {"forward": 2, "inverse": 1}
