@@ -263,6 +263,14 @@ def _operands(a, b) -> tuple:
     return x, (x if same else _real(y))
 
 
+def _same_values(x: np.ndarray, y: np.ndarray) -> bool:
+    """x and y hold the same values (an equal copy, say).  Up to 64 leading
+    entries are compared on their own first, so that different arrays of
+    one shape are told apart without a pass over all of them."""
+    return x.shape == y.shape and x.dtype == y.dtype and \
+        np.array_equal(x.flat[:64], y.flat[:64]) and np.array_equal(x, y)
+
+
 def _fold(r: np.ndarray, shape: tuple) -> np.ndarray:
     """Periodic correlation from the aperiodic one: p_k = r_k + r_{k-N} for
     k = 0..N-1 on every axis."""
@@ -284,22 +292,24 @@ def convolve(a, b) -> np.ndarray:
 
 def _correlation(a, b, dual: bool, periodic: bool = False) -> tuple:
     """The operands of correlate(a, b) and the raw :func:`_convolve` result
-    of their aperiodic correlation.  A Sequence correlated with itself keeps
-    that result, read-only, in its memo: one entry per sense, and one for
-    both when the elements are real, where the two agree."""
+    of their aperiodic correlation.  An operand b with the same values as a
+    makes an autocorrelation.  A Sequence correlated with itself keeps that
+    result, read-only, in its memo: one entry per sense, and one for both
+    when the elements are real, where the two agree."""
     x, y = _operands(a, b)
     if periodic and x.shape != y.shape:
         raise ArgumentError("periodic correlation needs equal shapes, got "
                             f"{x.shape} and {y.shape}")
-    memo = a._memo if isinstance(a, Sequence) and y is x else None
+    if y is not x and _same_values(x, y):
+        y = x   # an autocorrelation all the same, computed as one
     key = "dual" if dual and x.dtype.kind == "c" else "conj"
-    r = None if memo is None else memo.get(key)
-    if r is None:
-        r = _convolve(x, y, flip=True, dual=key == "dual")
-        if memo is not None:
-            r.setflags(write=False)
-            memo[key] = r
-    return x, r
+
+    def compute():
+        return _convolve(x, y, flip=True, dual=key == "dual")
+
+    if isinstance(a, Sequence) and y is x:
+        return x, a._memoised(key, compute)
+    return x, compute()
 
 
 def correlate(a, b=None, *, dual: bool = False,
@@ -324,10 +334,12 @@ def correlate(a, b=None, *, dual: bool = False,
       lengths); otherwise directly in int64 when
       max|a| * max|b| * min(|a|, |b|) < 2^63; otherwise in Python ints.
 
-    A Sequence correlated with itself is computed once per sense and shared
-    by every later call on it (:func:`autocorr`, :func:`is_canonical`,
-    :func:`merit_factor`, ...); ndarray inputs are not memoised.  The result
-    is always a fresh writable array.
+    A ``b`` equal to ``a`` in shape, dtype and values gives the
+    autocorrelation, bit for bit.  A Sequence correlated with itself is
+    computed once per sense and shared by every later call on it
+    (:func:`autocorr`, :func:`is_canonical`, :func:`merit_factor`, ...);
+    ndarray inputs are not memoised.  The result is always a fresh writable
+    array.
 
     Exactness: integer-valued inputs give the correctly rounded float of the
     exact integer correlation, bit-exact while it is below 2^53
@@ -509,8 +521,13 @@ def _offpeak_power(f) -> tuple:
         raise ArgumentError("merit factor is undefined for the zero sequence")
     # The strictly positive lags as computed: real for real elements, and
     # int64 or Python ints on the exact paths, which _sumsq casts as
-    # correlate does.
-    return energy, _sumsq(_correlation(f, None, False)[1][a.size:])
+    # correlate does.  math.hypot sums real lags as it sums their complex
+    # cast, whose zero imaginary parts add nothing; the longer fold route
+    # rounds by layout, so it takes the complex lags, as correlate gives.
+    side = _correlation(f, None, False)[1][a.size:]
+    if side.dtype.kind != "c" and 2 * side.size > _SHORT:
+        side = np.asarray(side, dtype=np.complex128)
+    return energy, _sumsq(side)
 
 
 def merit_factor(f) -> float:

@@ -75,9 +75,9 @@ def _energy(arr: np.ndarray) -> float:
 class Sequence:
     """Immutable 1-D complex sequence tagged with its family id and scale.
 
-    ``_memo`` keeps what is computed once from the elements: the energy, and
-    the raw autocorrelations that :mod:`huffseq.analysis` stores there
-    read-only (one per sense) for every check to share."""
+    ``_memo`` keeps what is computed once from the elements, through
+    :meth:`_memoised` alone: the energy, and the raw autocorrelations (one
+    per sense) that every check in :mod:`huffseq.analysis` shares."""
 
     elements: np.ndarray
     family: str = "custom"
@@ -111,12 +111,20 @@ class Sequence:
     def __getitem__(self, idx):
         return self.elements[idx]
 
+    def _memoised(self, key: str, compute):
+        """``compute()``, called once per key and kept.  A kept array is made
+        read-only, so callers copy it before they hand it out."""
+        if key not in self._memo:
+            value = compute()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            self._memo[key] = value
+        return self._memo[key]
+
     @property
     def energy(self) -> float:
         """Sum of squared magnitudes, computed once."""
-        if "energy" not in self._memo:
-            self._memo["energy"] = _energy(self.elements)
-        return self._memo["energy"]
+        return self._memoised("energy", lambda: _energy(self.elements))
 
 
 def as_array(seq) -> np.ndarray:

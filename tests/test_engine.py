@@ -196,12 +196,8 @@ class TestFloatMethods:
         assert close(correlate(f, g, dual=True), want)
 
     def test_b_defaults_to_a(self):
-        # b None and b the array itself are the same autocorrelation; an
-        # equal copy makes a cross-correlation, whose two transforms round
-        # differently from the autocorrelation's one.
         f = FLOAT_CASES[3][1]
-        assert np.array_equal(correlate(f), correlate(f, f))
-        assert close(correlate(f), correlate(f, f.copy()), tol=1e-14)
+        assert np.array_equal(correlate(f), correlate(f, f.copy()))
 
 
 class TestIntegerMethods:
@@ -453,6 +449,22 @@ class TestSequenceMemo:
             assert seq.energy == math.inf
             assert is_canonical(seq).energy == math.inf
 
+    @pytest.mark.parametrize("n", [13, 256, 257, 258, 300, SIDE])
+    @pytest.mark.parametrize("kind", ["pm1", "float"])
+    def test_merit_factor_sums_as_the_complex_lags(self, n, kind):
+        # Real side lags are summed as their complex cast is, route and
+        # order, so the merit factor of a direct-path sequence is unchanged
+        # by keeping them real; for +-1 entries past 257 that is exact.
+        rng = np.random.default_rng(n)
+        f = rng.choice((-1.0, 1.0), n) if kind == "pm1" else \
+            rng.normal(size=n)
+        energy = float(np.sum(np.abs(f) ** 2))
+        want = energy * energy / (2 * _sumsq(correlate(f)[n:]))
+        assert merit_factor(f) == want
+        assert merit_factor(Sequence(f)) == want
+        if kind == "pm1" and n > 257:
+            assert want == float(merit_factor_exact(f))
+
     def test_integer_energy_exact(self):
         seq = generate("fib", n=7, s=1)
         assert seq.energy == 18.0
@@ -499,6 +511,10 @@ class TestTransformCount:
         assert counts == {"forward": 1, "inverse": 1}
 
     def test_transform_count_cross_correlation(self, counts):
-        f = RNG.normal(size=16384)
-        correlate(f, f.copy())
+        correlate(RNG.normal(size=16384), RNG.normal(size=16384))
         assert counts == {"forward": 2, "inverse": 1}
+
+    def test_transform_count_equal_copy(self, counts):
+        f = cnormal(16384)
+        correlate(f, f.copy(), dual=True)
+        assert counts == {"forward": 1, "inverse": 1}
