@@ -31,7 +31,7 @@ from .core import DEFAULT_TOL, ArgumentError, Sequence, _energy, as_array, dft
 # more for unequal lengths (16 x 4096: 80 us against 238 us).
 _DIRECT_MAX = 2 ** 17
 _EPS = 2.0 ** -53   # unit round-off of float64
-_SHORT = 512        # longest array whose sum of squares math.hypot takes
+_SHORT = 512        # longest array whose squares math.fsum sums unfolded
 _FOLDED = 64        # partial sums a longer one is folded down to
 
 
@@ -93,30 +93,33 @@ def _sumsq(v: np.ndarray) -> float:
     No BLAS: OpenBLAS hands a dot product of more than 10 000 elements to
     worker threads, which go on spinning on a second core after it returns,
     and its SIMD accumulation drifts by up to about n * 2^-53 (np.vdot of
-    1024 equal entries is 2e-15 off).  Up to _SHORT entries the root comes
-    from math.hypot, within 1 ulp.  Longer arrays are squared and folded in
+    1024 equal entries is 2e-15 off).  Up to _SHORT entries math.fsum
+    rounds the exact total of the squares once, so integer squares whose
+    sum is below 2^53 sum exactly.  Longer arrays are squared and folded in
     half, the first half plus the second, until at most _FOLDED partial
-    sums are left for math.fsum, which rounds their exact total once: each
-    square goes through log2(n / _FOLDED) roundings of sums of like size on
-    the way."""
+    sums are left for math.fsum: each square goes through
+    log2(n / _FOLDED) roundings of sums of like size on the way."""
     v = v.ravel()
     if v.dtype != np.float64:
         v = v.view(np.float64) if v.dtype == np.complex128 else \
             v.astype(np.float64)
     if v.size <= _SHORT:
-        root = math.hypot(*v.tolist())
-        return root * root
-    n, odd = v.size, []
-    with np.errstate(over="ignore"):   # an infinite square sums to inf
-        sq = v * v
-        while n > _FOLDED:
-            half = n // 2
-            if n % 2:
-                odd.append(float(sq[n - 1]))
-            np.add(sq[:half], sq[half:2 * half], out=sq[:half])
-            n = half
+        # A Python float square overflows to inf without a warning, so no
+        # np.errstate is entered: at this size that costs more than squaring.
+        terms = [x * x for x in v.tolist()]
+    else:
+        n, odd = v.size, []
+        with np.errstate(over="ignore"):   # an infinite square sums to inf
+            sq = v * v
+            while n > _FOLDED:
+                half = n // 2
+                if n % 2:
+                    odd.append(float(sq[n - 1]))
+                np.add(sq[:half], sq[half:2 * half], out=sq[:half])
+                n = half
+        terms = sq[:n].tolist() + odd
     try:
-        return math.fsum(sq[:n].tolist() + odd)
+        return math.fsum(terms)
     except OverflowError:   # finite partial sums whose total is not
         return math.inf
 
@@ -521,7 +524,7 @@ def _offpeak_power(f) -> tuple:
         raise ArgumentError("merit factor is undefined for the zero sequence")
     # The strictly positive lags as computed: real for real elements, and
     # int64 or Python ints on the exact paths, which _sumsq casts as
-    # correlate does.  math.hypot sums real lags as it sums their complex
+    # correlate does.  math.fsum sums real lags as it sums their complex
     # cast, whose zero imaginary parts add nothing; the longer fold route
     # rounds by layout, so it takes the complex lags, as correlate gives.
     side = _correlation(f, None, False)[1][a.size:]

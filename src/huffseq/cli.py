@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from os import urandom
 
 import numpy as np
 
@@ -58,6 +59,10 @@ from .decorrelate import (
     split_signs,
 )
 
+
+# Most elements of the mask the demos build, len(row) ** dim complex128
+# values (64 MiB); the dose demo holds a few arrays of that size at once.
+_GRID_LIMIT = 2 ** 22
 
 # --metrics name -> (report key, function of the Sequence); an infinite
 # value is reported as "inf".  The lambdas look the library functions up at
@@ -111,11 +116,65 @@ def _dim(text: str) -> int:
     return dim
 
 
+def _format_array(arr: np.ndarray, indent: str) -> str:
+    """A 1-D numeric array as json.dumps(indent=2) lays out the list of its
+    elements on a line that starts with ``indent``, a complex one as
+    [re, im] pairs: one tolist() and one "%r" template repeated per entry.
+    Raises ValueError on a NaN or an infinity, as json.dumps does."""
+    if arr.size == 0:
+        return "[]"
+    if arr.dtype.kind == "c":
+        values = np.ascontiguousarray(arr, np.complex128).view(np.float64)
+        inner = indent + "    "
+        item = f"{indent}  [\n{inner}%r,\n{inner}%r\n{indent}  ]"
+    else:
+        values, item = arr, f"{indent}  %r"
+    if values.dtype.kind == "f" and not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)][0]
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         + repr(float(bad)))
+    body = ",\n".join([item] * arr.size) % tuple(values.tolist())
+    return f"[\n{body}\n{indent}]"
+
+
+def _dumps(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)`` byte
+    for byte, where each 1-D int, float or complex ndarray in ``doc`` stands
+    for the list of its elements (complex ones as [re, im] pairs).
+
+    With ``indent`` set, json.dumps runs its pure-Python encoder, one call
+    per number, so it lays out only the rest: its ``default`` hook puts a
+    placeholder string where each array goes, and :func:`_format_array`
+    then writes each array in bulk, indented like the placeholder's line.
+    The placeholder carries a random tag, so no string in the document can
+    pass for one."""
+    mark = f"ndarray-{urandom(8).hex()}"
+    arrays = []
+
+    def hold(obj):
+        if not (isinstance(obj, np.ndarray) and obj.ndim == 1
+                and obj.dtype.kind in "iufc"):
+            raise TypeError(f"Object of type {type(obj).__name__} "
+                            "is not JSON serializable")
+        arrays.append(obj)
+        return mark
+
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+                      default=hold)
+    pieces = text.split(f'"{mark}"')
+    out = [pieces[0]]
+    for arr, rest in zip(arrays, pieces[1:]):
+        line = out[-1][out[-1].rfind("\n") + 1:]
+        out += [_format_array(arr, line[:len(line) - len(line.lstrip())]),
+                rest]
+    return "".join(out)
+
+
 def _emit(doc: dict, out_path: str | None) -> int:
     """Add the meta block and write ``doc`` as JSON to stdout or a file."""
     doc["meta"] = {"name": "huffseq", "version": __version__}
     try:
-        payload = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        payload = _dumps(doc)
     except ValueError as exc:
         raise DomainError(f"result is not finite: {exc}") from exc
     if not out_path:
@@ -196,17 +255,15 @@ def _cmd_analyze(args) -> int:
         verdict = {"canonical": bool(is_canonical(loaded, tol=args.tol,
                                                   dual=args.dual))}
     if args.csv:
-        for lag, val in zip(prof.lags, prof.values):
-            print(f"{int(lag)},{float(val.real)!r},{float(val.imag)!r}")
+        print("\n".join(map("%d,%r,%r".__mod__,
+                             zip(prof.lags.tolist(), prof.values.real.tolist(),
+                                 prof.values.imag.tolist()))))
         return 0
     doc = {
         "family": loaded.family,
         "length": len(loaded),
         "kind": prof.kind,
-        "profile": {
-            "lags": [int(k) for k in prof.lags],
-            "values": [[v.real, v.imag] for v in prof.values],
-        },
+        "profile": {"lags": prof.lags, "values": prof.values},
         "peak": prof.peak,
         "end_values": [[v.real, v.imag] for v in prof.end_values],
         "max_interior_offpeak": prof.max_interior_offpeak,
@@ -229,8 +286,15 @@ def _cmd_compose(args) -> int:
 
 
 def _demo_mask(args, dim: int) -> np.ndarray:
-    """The family's row (s defaults to 1) as a dim-D outer product."""
+    """The family's row (s defaults to 1) as a dim-D outer product, of at
+    most _GRID_LIMIT elements."""
     row = grid = as_array(_sequence(args, default_s=1))
+    # The exponent is clamped so that a huge dim costs no huge integer: a
+    # row of two or more elements is past the limit well before then.
+    if row.size ** min(dim, _GRID_LIMIT.bit_length()) > _GRID_LIMIT:
+        raise ArgumentError(
+            f"a {dim}-D mask of the {row.size}-element row has "
+            f"{row.size}**{dim} elements, above the limit of {_GRID_LIMIT}")
     for _ in range(dim - 1):
         grid = outer(row, grid)
     return grid

@@ -207,7 +207,8 @@ def to_json_obj(seq) -> dict:
     obj = {
         "family": family,
         "scale": _c2pair(complex(sc)),
-        "elements": [_c2pair(complex(z)) for z in arr.ravel(order="C")],
+        "elements": arr.ravel(order="C").view(np.float64).reshape(-1, 2)
+                       .tolist(),
     }
     if arr.ndim != 1:
         obj["shape"] = list(arr.shape)

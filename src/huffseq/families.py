@@ -37,7 +37,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import ArgumentError, DomainError, Sequence, fib_poly
+from .core import (FIB_INDEX_LIMIT, ArgumentError, DomainError, Sequence,
+                   fib_poly)
 
 
 def _sqrt(x):
@@ -136,9 +137,18 @@ def _fib_parts(N, s, family: str, *, minimum: int, mod4: int, sign=1):
     N = _check_length(N, family, minimum=minimum, mod4=mod4)
     s = _check_scale(s, family)
     M = (N - 3) // 2
-    head = [2 * s * fib_poly(k, s) for k in range(1, M + 1)]
-    centre = s * fib_poly(M + 1, s) - 2 * fib_poly(M, s)
-    mirror = [sign * 2 * s * fib_poly(-k, s) for k in range(M, 0, -1)]
+    if M >= FIB_INDEX_LIMIT:   # as fib_poly raises for the first index past
+        raise DomainError(f"fib_poly index {FIB_INDEX_LIMIT + 1} exceeds "
+                          f"limit {FIB_INDEX_LIMIT}")
+    # F_0 .. F_{M+1} by fib_poly's recurrence, in one pass, and
+    # F_{-k} = (-1)^{k+1} F_k: the same operations as fib_poly(k, s) each.
+    F = [0 * s, 1 + 0 * s]
+    for _ in range(M):
+        F.append(s * F[-1] + F[-2])
+    head = [2 * s * f for f in F[1:M + 1]]
+    centre = s * F[M + 1] - 2 * F[M]
+    mirror = [sign * 2 * s * (F[k] if k % 2 else -F[k])
+              for k in range(M, 0, -1)]
     return s, head, centre, mirror
 
 

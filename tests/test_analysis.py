@@ -24,6 +24,7 @@ from huffseq import (
     gen_h_tan,
     gen_he4,
     gen_perfect_fib,
+    generate,
     is_canonical,
     is_perfect,
     merit_factor,
@@ -273,6 +274,16 @@ class TestMeritFactor:
             merit_factor_exact(fixtures("b13"))
         assert ratio == Fraction(768, 4901)
         assert not (1.20 <= float(ratio) <= 1.30)
+
+    @pytest.mark.parametrize("name", [
+        "b13", "ternary_barker17", "b13var", "quasi8a", "quasi8b", "h86",
+        "perfect_fib"])
+    def test_integer_merit_factor_correctly_rounded(self, name):
+        # The integer side-lag power is summed exactly, so E^2 / (2 S) is
+        # one correctly rounded division: b13 gives 14.083333333333334.
+        seq = generate(name, n=11, s=1) if name == "perfect_fib" else \
+            fixtures(name)
+        assert merit_factor(seq) == float(merit_factor_exact(seq))
 
     def test_infinite_for_zero_sidelobes(self):
         assert merit_factor([1, 0]) == math.inf

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, JSON interchange, and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,9 +9,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import huffseq
-from huffseq import gen_fibonacci, outer, to_json_obj
+from huffseq import (DomainError, autocorr, dual_autocorr, gen_fibonacci,
+                     generate, outer, periodic_autocorr, to_json_obj)
+from huffseq import cli
 from huffseq.cli import main
 
 
@@ -346,6 +351,19 @@ class TestDemo:
         assert out == ""
         assert "overflows" in err
 
+    @pytest.mark.parametrize("dim", ["8", "1000000000"])
+    def test_dose_grid_above_limit_exit_2(self, capsys, monkeypatch, dim):
+        # 7**8 elements is past the limit; the check comes before any grid.
+        def refuse(*args):
+            raise AssertionError("outer called")
+
+        monkeypatch.setattr(cli, "outer", refuse)
+        code, out, err = run(capsys, "demo", "dose", "--family", "fib",
+                             "--n", "7", "--s", "1", "--dim", dim)
+        assert code == 2
+        assert out == ""
+        assert "above the limit" in err
+
     def test_dose_rejects_complex_family(self, capsys):
         code, _, err = run(capsys, "demo", "dose", "--family", "h9a",
                            "--s", "0,2", "--dim", "1")
@@ -399,6 +417,144 @@ class TestDemo:
                            str(tmp_path / "absent.csv"),
                            "--family", "fib", "--n", "7", "--s", "1")
         assert code == 2
+
+
+def _plain(obj):
+    """``obj`` as json.dumps takes it: each ndarray as the list of its
+    elements, complex ones as [re, im] pairs."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "c":
+            return [[z.real, z.imag] for z in obj.tolist()]
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _plain(val) for key, val in obj.items()}
+    if isinstance(obj, list):
+        return [_plain(val) for val in obj]
+    return obj
+
+
+def _json_dumps(doc) -> str:
+    return json.dumps(_plain(doc), indent=2, sort_keys=True, allow_nan=False)
+
+
+# Floats where repr changes form (1e16, 1e-5), the smallest subnormal and
+# the sign of zero, beside any finite float.
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1e16, 9999999999999998.0,
+     1e-5, 9.999999999999999e-06, 1e22, 1e-7])
+ARRAYS = (arrays(np.int64, st.integers(0, 4))
+          | arrays(np.float64, st.integers(0, 4), elements=FLOATS)
+          | arrays(np.complex128, st.integers(0, 4),
+                   elements=st.builds(complex, FLOATS, FLOATS)))
+LEAVES = (st.none() | st.booleans() | st.integers() | st.text() | FLOATS
+          | ARRAYS)
+DOCS = st.dictionaries(
+    st.text(),
+    st.recursive(LEAVES, lambda kids: st.lists(kids, max_size=4)
+                 | st.dictionaries(st.text(), kids, max_size=4),
+                 max_leaves=20),
+    max_size=5)
+
+# Every verb: {a} a real 257-element file, {c} a complex one, {obj} a 2-D
+# CSV object.
+VERB_ARGV = {
+    "gen": ["gen", "--family", "fib", "--n", "11", "--s", "2"],
+    "gen-complex": ["gen", "--family", "h9a", "--s", "0.5,-1.5"],
+    "gen-fixture": ["gen", "--family", "complex7_i"],
+    "gen-list": ["gen", "--list"],
+    "list": ["list"],
+    "analyze": ["analyze", "--in", "{a}"],
+    "analyze-metrics": ["analyze", "--in", "{a}", "--metrics",
+                        "merit,flatness,peak"],
+    "analyze-dual": ["analyze", "--in", "{c}", "--dual"],
+    "analyze-periodic": ["analyze", "--in", "{c}", "--periodic"],
+    "compose-kron": ["compose", "--op", "kron", "{a}", "{c}"],
+    "compose-outer": ["compose", "--op", "outer", "{c}", "{c}"],
+    "dose": ["demo", "dose", "--family", "fib", "--n", "7", "--s", "1",
+             "--dim", "3"],
+    "deblur": ["demo", "deblur", "--object", "{obj}", "--family", "fib",
+               "--n", "7", "--s", "1"],
+}
+
+
+class TestJsonBytes:
+    """CLI JSON is json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False) byte for byte, ndarrays in doc taken as lists."""
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("verb", sorted(VERB_ARGV))
+    def test_every_verb(self, capsys, tmp_path, monkeypatch, verb, to_file):
+        files = {"a": write_seq(tmp_path, generate("harb", n=257, s=1.01),
+                                "a.json"),
+                 "c": write_seq(tmp_path, generate("h9a", s=0.5 - 1.5j),
+                                "c.json"),
+                 "obj": str(tmp_path / "obj.csv")}
+        np.savetxt(files["obj"], np.random.default_rng(1).random((5, 6)),
+                   delimiter=",")
+        docs, dumps = [], cli._dumps
+        monkeypatch.setattr(cli, "_dumps",
+                            lambda doc: docs.append(doc) or dumps(doc))
+        target = tmp_path / "out.json"
+        argv = [arg.format(**files) for arg in VERB_ARGV[verb]]
+        code, out, err = run(capsys, *argv,
+                             *(["--out", str(target)] if to_file else []))
+        assert code == 0, err
+        written = target.read_text(encoding="utf-8") if to_file else out
+        assert out == ("" if to_file else written)
+        assert len(docs) == 1
+        assert written == _json_dumps(docs[0]) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(DOCS)
+    def test_documents(self, doc):
+        assert cli._dumps(doc) == _json_dumps(doc)
+
+    @pytest.mark.parametrize("arr", [
+        np.array([0, -1, 2 ** 63 - 1, -2 ** 63]),
+        np.array([-0.0, 5e-324, 1e16, 1e-5, 0.1, -1.5e300]),
+        np.array([complex(-0.0, 5e-324), 1e16 - 1e-5j, 1j, -0.0]),
+        np.array([], dtype=np.int64),
+        np.array([], dtype=np.float64),
+        np.array([], dtype=np.complex128),
+    ], ids=["int", "float", "complex", "empty-int", "empty-float",
+            "empty-complex"])
+    def test_arrays(self, arr):
+        doc = {"top": arr, "list": [arr, 1, [arr]], "é": {"deep": arr}}
+        assert cli._dumps(doc) == _json_dumps(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"a": np.array([1.0, math.nan])},
+        {"a": np.array([-math.inf])},
+        {"a": [np.array([1 + 0j, complex(0, math.inf)])]},
+        {"a": math.nan},
+        {"a": [1.0, {"b": -math.inf}]},
+    ], ids=["nan-array", "inf-array", "inf-complex-array", "nan-scalar",
+            "inf-scalar"])
+    def test_non_finite_is_a_domain_error(self, doc):
+        with pytest.raises(DomainError, match="not finite"):
+            cli._emit(doc, None)
+
+    def test_non_finite_profile_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"elements": [[1e200, 0.0], [1e200, 0.0]]}))
+        code, out, err = run(capsys, "analyze", "--in", str(path))
+        assert code == 3
+        assert out == ""
+        assert "not finite" in err
+
+    @pytest.mark.parametrize("flag,profile", [
+        (None, autocorr), ("--dual", dual_autocorr),
+        ("--periodic", periodic_autocorr)])
+    def test_csv(self, capsys, tmp_path, flag, profile):
+        seq = generate("h9a", s=0.5 - 1.5j)
+        path = write_seq(tmp_path, seq)
+        prof = profile(seq)
+        want = "".join(f"{int(k)},{float(v.real)!r},{float(v.imag)!r}\n"
+                       for k, v in zip(prof.lags, prof.values))
+        code, out, _ = run(capsys, "analyze", "--in", path, "--csv",
+                           *([flag] if flag else []))
+        assert code == 0
+        assert out == want
 
 
 class TestListVerb:

@@ -30,6 +30,7 @@ from huffseq import (
     gen_he4,
     gen_he6,
     gen_perfect_arb,
+    fib_poly,
     gen_perfect_fib,
     generate,
     is_canonical,
@@ -382,6 +383,49 @@ class TestMagnitudeBridges:
         left = [abs(v) for v in elements(gen_he6(s))]
         right = [abs(v) for v in elements(gen_h_arb(6, s))]
         assert max(abs(a - b) for a, b in zip(left, right)) > 0.5
+
+
+def _fib_layout(N, s, sign):
+    """The Fibonacci layouts spelled out with one fib_poly call per entry:
+    head 2sF_1 .. 2sF_M, centre sF_{M+1} - 2F_M, mirror sign*2sF_{-k}."""
+    M = (N - 3) // 2
+    head = [2 * s * fib_poly(k, s) for k in range(1, M + 1)]
+    centre = s * fib_poly(M + 1, s) - 2 * fib_poly(M, s)
+    mirror = [sign * 2 * s * fib_poly(-k, s) for k in range(M, 0, -1)]
+    return head, centre, mirror
+
+
+class TestFibonacciTable:
+    """The Fibonacci families take F_0 .. F_{M+1} from one recurrence pass;
+    their elements stay bit for bit those of one fib_poly call each."""
+
+    @pytest.mark.parametrize("s", [1, -3, 2, 1.3, -0.7, 1e-3, 1.5 - 0.5j,
+                                   2j, complex(0.3, 1.1)])
+    @pytest.mark.parametrize("N", [7, 11, 31, 127])
+    def test_same_elements_as_fib_poly(self, N, s):
+        head, centre, mirror = _fib_layout(N, s, 1)
+        want = np.array([1, *head, centre, *mirror, -1], dtype=np.complex128)
+        assert gen_fibonacci(N, s).elements.tobytes() == want.tobytes()
+        want = np.array([centre, *mirror, 2 * s * fib_poly(0, s), *head],
+                        dtype=np.complex128)
+        assert gen_perfect_fib(N, s).elements.tobytes() == want.tobytes()
+        head, centre, mirror = _fib_layout(N - 2, s, -1)
+        want = np.array([1, *head, centre, *mirror, 1], dtype=np.complex128)
+        assert gen_h_plus(N - 2, s).elements.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("maker,N", [
+        (gen_fibonacci, 131), (gen_fibonacci, 1003), (gen_perfect_fib, 131),
+        (gen_h_plus, 133), (gen_h_plus, 1001)])
+    def test_past_the_index_limit(self, maker, N):
+        # fib_poly's own error, at the first index past its limit.
+        with pytest.raises(DomainError,
+                           match="fib_poly index 65 exceeds limit 64"):
+            maker(N, 1)
+
+    def test_last_lengths_inside_the_limit(self):
+        for maker, N in ((gen_fibonacci, 127), (gen_perfect_fib, 127),
+                         (gen_h_plus, 129)):
+            assert np.all(np.isfinite(maker(N, 1.01).elements))
 
 
 class TestArgumentValidation:
