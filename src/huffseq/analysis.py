@@ -6,6 +6,12 @@ to |g|-1, where c is conjugation when ``conjugate`` is true.  A profile's
 zero lag therefore sits at index |f|-1.  Every correlation and convolution in
 the package goes through :func:`correlate` and :func:`convolve`.
 
+Off-peak lags are all lags but the zero lag and, in an aperiodic correlation,
+every lag at the extreme of some axis (the end lags +-(N-1) in 1-D): a
+canonical sequence or an n-D Huffman array vanishes at each of them, and a
+perfect array at every non-zero cyclic shift.  :func:`_offpeak` alone finds
+them, for every delta-correlation verdict.
+
 An autocorrelation on the FFT path transforms its operand once.  A
 :class:`~huffseq.core.Sequence` correlated with itself is computed once per
 sense (conjugating or dual) and shared by every later call on it, from
@@ -365,8 +371,8 @@ class CorrelationProfile:
 
     ``peak`` is the magnitude of the zero-lag value (``peak_value`` keeps the
     complex value itself); ``max_interior_offpeak`` is the largest magnitude
-    over lags excluding zero lag and, for aperiodic kinds, the two extreme
-    lags.
+    over the off-peak lags (see the module docstring), 0.0 when there are
+    none.
     """
 
     values: np.ndarray
@@ -388,19 +394,34 @@ class CorrelationProfile:
         return self.values.size
 
 
+def _offpeak(values: np.ndarray, center, ends: bool = True) -> tuple:
+    """(zero-lag value, worst off-peak magnitude, flat index of the first lag
+    with it) of a correlation whose zero lag sits at ``center``: 0.0 and -1
+    when no lag is off-peak, and a NaN lag is the worst.  Without ``ends``
+    (periodic) the extreme lags are off-peak too."""
+    mags = np.abs(values)   # fresh, as values may be read-only; exact for ints
+    mags[center] = -1
+    if ends:
+        for ax in range(mags.ndim):
+            for end in (0, -1):
+                mags[(slice(None),) * ax + (end,)] = -1
+    idx = int(np.argmax(mags))
+    worst = float(mags.flat[idx])
+    if worst < 0:
+        worst, idx = 0.0, -1
+    return complex(values[center]), worst, idx
+
+
 def _profile(values: np.ndarray, kind: str, lags: np.ndarray,
              zero_index: int) -> CorrelationProfile:
-    mags = np.abs(values)
-    mags[zero_index] = -1.0
-    if kind != "periodic":
-        mags[0] = mags[-1] = -1.0   # the two extreme lags
+    peak, worst, _ = _offpeak(values, zero_index, ends=kind != "periodic")
     return CorrelationProfile(
         values=values,
         kind=kind,
         lags=lags,
-        peak_value=complex(values[zero_index]),
+        peak_value=peak,
         end_values=(complex(values[0]), complex(values[-1])),
-        max_interior_offpeak=max(float(mags.max()), 0.0),
+        max_interior_offpeak=worst,
     )
 
 
@@ -475,9 +496,10 @@ def _energy_of(f, a: np.ndarray) -> float:
 
 def is_canonical(f, tol: float = DEFAULT_TOL, dual: bool = False
                  ) -> CanonicalReport:
-    """Check that every autocorrelation lag except 0 and +-(N-1) has
-    magnitude at most tol * P, where P = sum |f_i|^2 is the sequence energy.
-    ``dual`` switches to the conjugate-free autocorrelation."""
+    """Check that every off-peak autocorrelation lag (all but 0 and +-(N-1))
+    has magnitude at most tol * P, P = sum |f_i|^2 the sequence energy; the
+    report's ``worst_lag`` is the first lag of largest magnitude (0 for
+    N <= 2).  ``dual`` switches to the conjugate-free autocorrelation."""
     if tol <= 0:
         raise ArgumentError("tol must be positive")
     a = as_array(f)
@@ -485,20 +507,13 @@ def is_canonical(f, tol: float = DEFAULT_TOL, dual: bool = False
         raise ArgumentError("is_canonical expects a 1-D sequence")
     energy = _energy_of(f, a)
     values = _correlation(f, None, dual)[1]   # raw, and read-only if kept
-    n = a.size
-    mags = np.abs(values)   # of int64 or Python-int lags too: exact
-    mags[0] = mags[n - 1] = mags[-1] = -1.0   # zero lag and the end lags
-    idx = int(np.argmax(mags))
-    worst = float(mags[idx])
-    worst_lag = idx - (n - 1)
-    if worst < 0:   # no interior lags (N <= 2)
-        worst_lag, worst = 0, 0.0
+    peak, worst, idx = _offpeak(values, a.size - 1)
     return CanonicalReport(
         is_canonical=bool(worst <= tol * energy),
         tolerance=tol,
-        peak=abs(complex(values[n - 1])),
+        peak=abs(peak),
         energy=energy,
-        worst_lag=worst_lag,
+        worst_lag=idx - (a.size - 1) if idx >= 0 else 0,
         worst_residual=worst,
     )
 
@@ -509,8 +524,7 @@ def is_perfect(f, tol: float = DEFAULT_TOL) -> bool:
     if tol <= 0:
         raise ArgumentError("tol must be positive")
     prof = periodic_autocorr(f)
-    off = np.abs(prof.values[1:])
-    return bool(off.max() <= tol * prof.peak)
+    return bool(prof.max_interior_offpeak <= tol * prof.peak)
 
 
 def _offpeak_power(f) -> tuple:

@@ -26,6 +26,7 @@ from .core import (
     ArgumentError,
     DomainError,
     Sequence,
+    _energy,
     as_array,
     from_json_obj,
     kron,
@@ -328,7 +329,7 @@ def _cmd_demo_deblur(args) -> int:
         "n": args.n,
         "dim": int(obj.ndim),
         "object_shape": list(obj.shape),
-        "peak": float(np.sum(np.abs(grid) ** 2)),
+        "peak": _energy(grid),
         "max_abs_error": err.max_abs_error,
         "rel_l2_error": err.rel_l2_error,
         "end_term_bound": end_term_bound(grid, float(np.abs(obj).max())),

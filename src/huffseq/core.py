@@ -226,6 +226,9 @@ def from_json_obj(obj: dict):
             dtype=np.complex128)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ArgumentError(f"malformed sequence object: {exc}") from exc
+    if not isinstance(family, str):
+        raise ArgumentError("sequence object's family must be a string, not "
+                            f"{type(family).__name__}")
     if not (np.isfinite(elements).all() and np.isfinite(sc)):
         raise ArgumentError("sequence object holds a non-finite value")
     if "shape" in obj:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ArgumentError, as_array
-from .analysis import _sumsq, convolve, correlate, nd_autocorr
+from .analysis import _offpeak, _sumsq, convolve, correlate, nd_autocorr
 
 _WEIGHTS = {"split_sign": (1, -1), "pedestal": (0.5, -0.5),
             "split_complex": (1, -1, 1j, -1j)}
@@ -88,7 +88,7 @@ def split_signs(h) -> MaskSet:
 
 def min_pedestal(h) -> float:
     """Smallest offset rendering both pedestal masks non-negative."""
-    hr = _require_real(_as_grid(h), "pedestal_masks")
+    hr = _require_real(_as_grid(h), "min_pedestal")
     return float(max(hr.max(), -hr.min(), 0.0))
 
 
@@ -155,28 +155,13 @@ def measure(obj, m: MaskSet) -> np.ndarray:
     return blur(obj, recombine(m))
 
 
-def _interior_mask(shape: tuple) -> np.ndarray:
-    """Lags of an autocorrelation grid that are strictly inside the extreme
-    lag of every axis (the region a delta-correlated mask must zero, apart
-    from the center)."""
-    inner = np.ones(shape, dtype=bool)
-    for ax, n in enumerate(shape):
-        sel = [slice(None)] * len(shape)
-        sel[ax] = [0, n - 1]
-        inner[tuple(sel)] = False
-    return inner
-
-
 def delta_correlation_residual(h, dual: bool = False) -> tuple:
-    """(peak, worst interior off-peak magnitude) of a mask's autocorrelation,
-    in n-D: interior means no axis sits at its extreme lag."""
+    """(peak, worst off-peak magnitude) of a mask's autocorrelation, in n-D:
+    off-peak lags are those at no axis's extreme, apart from the center (see
+    :mod:`huffseq.analysis`); the worst is 0.0 when there are none."""
     k = _as_grid(h)
-    r = correlate(k, dual=dual)
-    center = tuple(n - 1 for n in k.shape)
-    interior = _interior_mask(r.shape)
-    interior[center] = False
-    peak = complex(r[center])
-    worst = float(np.abs(r[interior]).max()) if interior.any() else 0.0
+    peak, worst, _ = _offpeak(correlate(k, dual=dual),
+                              tuple(n - 1 for n in k.shape))
     return peak, worst
 
 
@@ -239,5 +224,5 @@ def end_term_bound(h, obj_max: float = 1.0, dual: bool = False) -> float:
     peak = abs(complex(r[center]))
     if peak == 0:
         raise ArgumentError("mask has zero correlation peak")
-    total = float(np.abs(r).sum()) - abs(complex(r[center]))
+    total = float(np.abs(r).sum()) - peak
     return total * float(obj_max) / peak

@@ -246,6 +246,24 @@ class TestIsCanonical:
         with pytest.raises(ArgumentError):
             is_canonical([1, 2], tol=0)
 
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("f", [
+        [3], [1, -2], [1, 1, 1, 1, 1], fixtures("b13"), gen_fibonacci(7, 1),
+        [1 + 1j, 2, -1j, 3, 1], [2, -1j, 1 + 2j, 1j, -3, 1],
+    ], ids=["n1", "n2", "tie", "b13", "fib7", "cplx5", "cplx6"])
+    def test_worst_lag_matches_offpeak_oracle(self, f, dual):
+        # Integer entries, so the lags and their squared magnitudes are
+        # exact, and so are the ties: the worst lag is the first of largest
+        # magnitude outside {0, +-(N-1)}, or lag 0 and 0.0 for N <= 2.
+        r = brute_autocorr(f, conjugate=not dual)
+        n = len(f)
+        offpeak = [(v.real ** 2 + v.imag ** 2, k - (n - 1))
+                   for k, v in enumerate(r) if k not in (0, n - 1, len(r) - 1)]
+        top = max((m for m, _ in offpeak), default=0.0)
+        rep = is_canonical(f, dual=dual)
+        assert rep.worst_lag == next((k for m, k in offpeak if m == top), 0)
+        assert rep.worst_residual == pytest.approx(math.sqrt(top), rel=1e-15)
+
 
 class TestIsPerfect:
     def test_family_members(self):

@@ -233,6 +233,16 @@ class TestAnalyze:
         assert out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("family", [{"x": [1, 2]}, 7, None])
+    def test_non_string_family_exit_2(self, capsys, tmp_path, family):
+        bad = tmp_path / "family.json"
+        bad.write_text(json.dumps({"family": family,
+                                   "elements": [[1, 0], [2, 0], [3, 0]]}))
+        code, out, err = run(capsys, "analyze", "--in", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "family must be a string" in err
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

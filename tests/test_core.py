@@ -197,6 +197,9 @@ class TestJsonInterchange:
         {"elements": [[1.0]]},
         {"elements": [[1.0, 0.0]], "shape": "bad"},
         {"elements": [["a", "b"]]},
+        {"family": {"x": [1, 2]}, "elements": [[1.0, 0.0]]},
+        {"family": 7, "elements": [[1.0, 0.0]]},
+        {"family": None, "elements": [[1.0, 0.0]]},
     ])
     def test_malformed_payloads_rejected(self, payload):
         with pytest.raises(ArgumentError):

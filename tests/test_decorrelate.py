@@ -31,7 +31,7 @@ from huffseq import (
     split_signs,
 )
 
-from _oracles import brute_blur, brute_blur_2d
+from _oracles import brute_autocorr_2d, brute_blur, brute_blur_2d
 
 RNG_SEED = 20260816
 
@@ -87,6 +87,10 @@ class TestMaskEncodings:
             split_signs([1j, 1])
         with pytest.raises(ArgumentError):
             pedestal_masks([1j, 1])
+
+    def test_min_pedestal_names_itself(self):
+        with pytest.raises(ArgumentError, match="^min_pedestal requires"):
+            min_pedestal([1j, 2])
 
     def test_weights_per_kind(self):
         h = np.array([1.0, -2.0, 3.0])
@@ -279,6 +283,28 @@ class TestReconstruct:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ArgumentError):
             reconstruct(np.ones((8, 8)), gen_fibonacci(7, 1).elements.real)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("grid", [
+    [[5]], [[1, 2, -1, 3]], [[1], [2], [-1], [3]], [[1, 2], [3, 4]],
+    [[1, 1j, 2], [-1, 3, 1 - 1j], [2j, 0, 1]],
+    outer(gen_fibonacci(7, 1), fixtures("h5")).real.tolist(),
+], ids=["1x1", "1x4", "4x1", "2x2", "cplx3x3", "fib7xh5"])
+def test_residual_matches_offpeak_oracle(grid, dual):
+    # Off-peak lags of a 2-D autocorrelation: neither axis at an extreme
+    # lag, and not the center; none when an axis has length 1.
+    r = brute_autocorr_2d(grid, conjugate=not dual)
+    rows, cols = len(r), len(r[0])
+    center = (rows // 2, cols // 2)
+    offpeak = [abs(r[i][j]) for i in range(1, rows - 1)
+               for j in range(1, cols - 1) if (i, j) != center]
+    peak, worst = decorrelate.delta_correlation_residual(grid, dual=dual)
+    assert peak == pytest.approx(r[center[0]][center[1]], abs=1e-12)
+    if offpeak:
+        assert worst == pytest.approx(max(offpeak), abs=1e-12)
+    else:
+        assert worst == 0.0
 
 
 class TestEndTermBound:
