@@ -18,10 +18,16 @@ sense (conjugating or dual) and shared by every later call on it, from
 :func:`autocorr` to :func:`is_canonical` and :func:`merit_factor`; its energy
 is kept the same way.  ndarray inputs are not memoised, and every returned
 array is a fresh writable copy.
+
+:func:`spectral_flatness` takes |F| on the grid of the FFT autocorrelation,
+L = _fast_len(2N-1) bins.  A Sequence keeps the magnitude of the one forward
+transform its FFT autocorrelation takes, and the flatness reads it; any
+other input takes that transform once, on the same grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,8 +52,10 @@ def _pow2_len(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+@functools.lru_cache(maxsize=1024)
 def _fast_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n: a length numpy's FFT does quickly."""
+    """Smallest 2^a 3^b 5^c >= n: a length numpy's FFT does quickly.  Kept
+    per n, as the search costs more than a short transform."""
     best = _pow2_len(n)
     p5 = 1
     while p5 < best:
@@ -63,14 +71,15 @@ def _full_shape(x: np.ndarray, y: np.ndarray) -> list:
     return [p + q - 1 for p, q in zip(x.shape, y.shape)]
 
 
-def _fft_convolve(x, y, length, real: bool, dual: bool = False
-                  ) -> np.ndarray:
+def _fft_convolve(x, y, length, real: bool, dual: bool = False,
+                  keep=None) -> np.ndarray:
     """Full linear convolution by a zero-padded FFT over every axis, each
     axis padded to ``length(full extent)``.  With ``y`` None it is instead
     the autocorrelation of x (conjugating unless ``dual``) from the one
     transform X of x: the inverse transform of |X|^2, or of X(w) X(-w) for
     the dual one, is the cyclic autocorrelation, which is rotated to put
-    the zero lag at index shape-1 on every axis."""
+    the zero lag at index shape-1 on every axis.  ``keep``, if given, is
+    called with X."""
     full = _full_shape(x, x if y is None else y)
     s = [length(n) for n in full]
     axes = tuple(range(x.ndim))
@@ -79,6 +88,8 @@ def _fft_convolve(x, y, length, real: bool, dual: bool = False
     else:
         fwd, inv = np.fft.fftn, np.fft.ifftn
     spec = fwd(x, s, axes)
+    if keep is not None:
+        keep(spec)
     if y is not None:
         spec = spec * fwd(y, s, axes)
     elif dual and not real:   # for a real x, X(-w) is conj X(w)
@@ -229,14 +240,16 @@ def _kronecker(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _convolve(x: np.ndarray, y: np.ndarray, flip: bool = False,
-              dual: bool = False) -> np.ndarray:
+              dual: bool = False, keep=None) -> np.ndarray:
     """Full linear convolution of two arrays of equal rank by the method
     :func:`_method` picks, or with ``flip`` the correlation of x against y:
     x reversed on every axis, and conjugated unless ``dual``, first.  The
     pick comes before the reversal, which changes nothing it reads, so an
     autocorrelation's one operand is both x and y, and the FFT methods
-    transform it once.  The exact methods return int64 or Python-int
-    (object) arrays holding the exact integer result."""
+    transform it once; on the 'rfft' and 'fft' paths of an autocorrelation
+    that transform, the one :func:`_spectrum` takes, goes to ``keep``.  The
+    exact methods return int64 or Python-int (object) arrays holding the
+    exact integer result."""
     method = _method(x, y)
     if flip and y is x and method in ("rfft", "fft", "fft_round"):
         y = None
@@ -247,7 +260,7 @@ def _convolve(x: np.ndarray, y: np.ndarray, flip: bool = False,
     if method == "direct":
         return np.convolve(x, y)
     if method in ("rfft", "fft"):
-        return _fft_convolve(x, y, _fast_len, method == "rfft", dual)
+        return _fft_convolve(x, y, _fast_len, method == "rfft", dual, keep)
     if method == "pyint":
         return _kronecker(x, y)
     if method == "int64":
@@ -304,7 +317,9 @@ def _correlation(a, b, dual: bool, periodic: bool = False) -> tuple:
     of their aperiodic correlation.  An operand b with the same values as a
     makes an autocorrelation.  A Sequence correlated with itself keeps that
     result, read-only, in its memo: one entry per sense, and one for both
-    when the elements are real, where the two agree."""
+    when the elements are real, where the two agree.  It also keeps the
+    magnitude of the forward transform an FFT autocorrelation takes, which
+    both senses share and :func:`spectral_flatness` reads."""
     x, y = _operands(a, b)
     if periodic and x.shape != y.shape:
         raise ArgumentError("periodic correlation needs equal shapes, got "
@@ -313,12 +328,13 @@ def _correlation(a, b, dual: bool, periodic: bool = False) -> tuple:
         y = x   # an autocorrelation all the same, computed as one
     key = "dual" if dual and x.dtype.kind == "c" else "conj"
 
-    def compute():
-        return _convolve(x, y, flip=True, dual=key == "dual")
-
     if isinstance(a, Sequence) and y is x:
-        return x, a._memoised(key, compute)
-    return x, compute()
+        def keep(spec):
+            a._memoised("spectrum", lambda: np.abs(spec))
+
+        return x, a._memoised(key, lambda: _convolve(
+            x, x, flip=True, dual=key == "dual", keep=keep))
+    return x, _convolve(x, y, flip=True, dual=key == "dual")
 
 
 def correlate(a, b=None, *, dual: bool = False,
@@ -583,13 +599,32 @@ def merit_factor_exact(f) -> Fraction:
     return Fraction(energy * energy, 2 * sidepower)
 
 
+def _spectrum(a: np.ndarray) -> np.ndarray:
+    """|X| of the 1-D a on the grid of its FFT autocorrelation,
+    L = _fast_len(2N-1): the L//2+1 bins of np.fft.rfft when a is real, all
+    L of np.fft.fft when it is not, the transform _fft_convolve takes, bit
+    for bit.  The magnitude, not its square, so that entries up to the
+    float range do not overflow."""
+    x = _real(a)
+    n = _fast_len(2 * x.size - 1)
+    return np.abs(np.fft.rfft(x, n) if x.dtype.kind == "f" else
+                  np.fft.fft(x, n))
+
+
 def spectral_flatness(f) -> float:
-    """min/max magnitude ratio over the (2N-1)-padded DFT bins; 1 means a
-    perfectly flat spectrum."""
+    """min/max |F| over the L = _fast_len(2N-1) DFT bins of f zero-padded
+    to L (the smallest 2^a 3^b 5^c >= 2N-1, the grid of its FFT
+    autocorrelation); 1 means a perfectly flat spectrum.  A Sequence reads
+    the magnitudes its FFT autocorrelation kept, or computes and keeps
+    them, so the value is the same in either order and for the elements
+    as an ndarray, bit for bit."""
     a = as_array(f)
     if a.ndim != 1:
         raise ArgumentError("spectral_flatness expects a 1-D sequence")
-    spec = np.abs(dft(a, 2 * a.size - 1))
+    if isinstance(f, Sequence):
+        spec = f._memoised("spectrum", lambda: _spectrum(a))
+    else:
+        spec = _spectrum(a)
     top = float(spec.max())
     if top == 0:
         raise ArgumentError("spectral flatness is undefined for the zero "

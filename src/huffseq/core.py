@@ -76,8 +76,10 @@ class Sequence:
     """Immutable 1-D complex sequence tagged with its family id and scale.
 
     ``_memo`` keeps what is computed once from the elements, through
-    :meth:`_memoised` alone: the energy, and the raw autocorrelations (one
-    per sense) that every check in :mod:`huffseq.analysis` shares."""
+    :meth:`_memoised` alone: the energy, the raw autocorrelations (one per
+    sense) that every check in :mod:`huffseq.analysis` shares, and the
+    magnitude |X| of the forward transform on the autocorrelation's FFT grid
+    (one for both senses), which spectral flatness reads."""
 
     elements: np.ndarray
     family: str = "custom"

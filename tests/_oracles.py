@@ -77,6 +77,23 @@ def brute_dft(f, length):
     return out
 
 
+def smooth_length(n):
+    """The smallest m >= n with no prime factor above 5, by trial
+    division."""
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+    return next(m for m in range(n, 2 * n + 1) if smooth(m))
+
+
+def brute_spectral_flatness(f, length):
+    """min/max magnitude over the ``length`` bins of brute_dft(f)."""
+    mags = [abs(v) for v in brute_dft(f, length)]
+    return min(mags) / max(mags)
+
+
 def brute_autocorr_2d(grid, conjugate=True):
     """Full aperiodic 2-D autocorrelation (conjugating unless not
     ``conjugate``) as nested lists."""

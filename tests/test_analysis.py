@@ -3,6 +3,8 @@ against the pure-Python brute-force oracles."""
 
 import cmath
 import math
+import pickle
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from huffseq import (
     ArgumentError,
+    Sequence,
     autocorr,
     dual_autocorr,
     dual_cross_spectrum,
@@ -35,12 +38,15 @@ from huffseq import (
     spectral_flatness,
     xcorr,
 )
+from huffseq.analysis import _method, _operands
 
 from _oracles import (
     brute_autocorr,
     brute_autocorr_2d,
     brute_periodic_autocorr,
+    brute_spectral_flatness,
     brute_xcorr,
+    smooth_length,
 )
 
 
@@ -329,21 +335,99 @@ class TestMeritFactor:
 
 
 class TestSpectralFlatness:
+    # spectral_flatness takes min/max |F| over the L = _fast_len(2N-1) bins
+    # of its FFT autocorrelation, the smallest 2^a 3^b 5^c >= 2N-1; these
+    # values were pinned over 2N-1 bins before.
+    OLD = {"fib7": 0.8957295514360278, "h86": 0.6910091392632235}
+
+    def test_oracle_reproduces_the_old_values_on_2n_minus_1_bins(self):
+        for name, f in (("fib7", gen_fibonacci(7, 1)),
+                        ("h86", fixtures("h86"))):
+            assert brute_spectral_flatness(f, 2 * len(f) - 1) == \
+                pytest.approx(self.OLD[name], abs=1e-12)
+
     def test_fibonacci_7(self):
-        assert spectral_flatness(gen_fibonacci(7, 1)) == \
-            pytest.approx(0.8957295514360278)
+        f = gen_fibonacci(7, 1)
+        assert smooth_length(13) == 15
+        assert brute_spectral_flatness(f, 15) == \
+            pytest.approx(0.9030925300487855, abs=1e-12)
+        assert spectral_flatness(f) == \
+            pytest.approx(0.9030925300487855, abs=1e-12)
 
     def test_h86_beats_random_binary_median(self):
         f = spectral_flatness(fixtures("h86"))
-        assert f == pytest.approx(0.6910091392632235)
+        assert smooth_length(171) == 180
+        assert brute_spectral_flatness(fixtures("h86"), 180) == \
+            pytest.approx(0.6874371190018201, abs=1e-12)
+        assert f == pytest.approx(0.6874371190018201, abs=1e-12)
         rng = np.random.default_rng(0)
         rand = [spectral_flatness((rng.integers(0, 2, size=86) * 2 - 1)
                                   .astype(float)) for _ in range(100)]
         assert f > float(np.median(rand))
 
+    @pytest.mark.parametrize("f", [
+        [1.0], [2.0, -1.0], [1j, 2.0, 3 - 1j], fixtures("b13").elements,
+        np.random.default_rng(1).normal(size=400),
+        gen_h_arb(401, cmath.exp(0.3j)).elements])
+    def test_matches_oracle(self, f):
+        want = brute_spectral_flatness(f, smooth_length(2 * len(f) - 1))
+        assert spectral_flatness(f) == pytest.approx(want, abs=1e-12)
+        assert spectral_flatness(Sequence(f)) == spectral_flatness(f)
+
     def test_zero_sequence_rejected(self):
         with pytest.raises(ArgumentError):
             spectral_flatness([0, 0])
+
+    def test_huge_scale_stays_finite(self):
+        # |F|^2 would overflow here (entries near 1e180); |F| does not.
+        seq = generate("fib", n=31, s=1e12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = spectral_flatness(seq)
+        assert math.isfinite(got)
+        want = brute_spectral_flatness(seq, smooth_length(2 * len(seq) - 1))
+        assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_power_of_two_scaling_is_exact(self, kind):
+        rng = np.random.default_rng(5)
+        f = rng.normal(size=700) * 1e160
+        if kind == "complex":
+            f = f + 1j * rng.normal(size=700) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert spectral_flatness(f) == \
+                spectral_flatness(np.ldexp(f.real, -500)
+                                  + 1j * np.ldexp(f.imag, -500))
+            assert spectral_flatness(Sequence(f)) == spectral_flatness(f)
+
+    # One case per way the autocorrelation can be computed: 'rfft', 'fft'
+    # (either sense, or the dual one alone), 'fft_round' (a power-of-two
+    # grid) and 'direct'.
+    CASES = {
+        "rfft": (np.random.default_rng(2).normal(size=600), autocorr),
+        "fft": (gen_h_arb(601, cmath.exp(0.2j)).elements, autocorr),
+        "fft_dual_only": (gen_h_arb(601, cmath.exp(0.2j)).elements,
+                          dual_autocorr),
+        "fft_round": (np.random.default_rng(3).integers(
+            -1000, 1000, size=600).astype(float), autocorr),
+        "direct": (np.random.default_rng(4).normal(size=20) + 1j, autocorr),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_flatness_same_in_every_order_and_form(self, case):
+        f, correlation = self.CASES[case]
+        assert _method(*_operands(f, None)) == case.split("_dual")[0]
+        want = spectral_flatness(np.array(f))
+        first = Sequence(f)
+        got = [spectral_flatness(first)]
+        correlation(first)
+        got.append(spectral_flatness(first))
+        later = Sequence(f)
+        correlation(later)
+        got.append(spectral_flatness(later))
+        got.append(spectral_flatness(pickle.loads(pickle.dumps(later))))
+        assert got == [want] * 4
 
 
 class TestDualCrossSpectrum:

@@ -14,9 +14,12 @@ from hypothesis.extra.numpy import arrays
 
 import huffseq
 from huffseq import (DomainError, autocorr, dual_autocorr, gen_fibonacci,
-                     generate, outer, periodic_autocorr, to_json_obj)
+                     generate, outer, periodic_autocorr, spectral_flatness,
+                     to_json_obj)
 from huffseq import cli
 from huffseq.cli import main
+
+from _oracles import brute_spectral_flatness, smooth_length
 
 
 def run(capsys, *argv):
@@ -160,7 +163,26 @@ class TestAnalyze:
         m = doc["metrics"]
         assert m["peak"] == 18.0
         assert m["merit_factor"] == pytest.approx(162.0)
-        assert m["spectral_flatness"] == pytest.approx(0.8957295514360278)
+        # min/max |F| over _fast_len(2 * 7 - 1) = 15 bins, from the
+        # brute-force DFT oracle
+        assert m["spectral_flatness"] == \
+            pytest.approx(0.9030925300487855, abs=1e-12)
+
+    @pytest.mark.parametrize("family,n,s", [
+        ("harb", 700, 1.01), ("harb", 701, 0.8 + 0.6j), ("fib", 7, 1)])
+    def test_flatness_metric_matches_library_and_oracle(
+            self, capsys, tmp_path, family, n, s):
+        # analyze correlates first, so the CLI reads the magnitudes kept by
+        # the FFT autocorrelation; the library takes a fresh transform of
+        # the elements.  The two agree bit for bit.
+        seq = generate(family, n=n, s=s)
+        path = write_seq(tmp_path, seq)
+        doc = run_json(capsys, "analyze", "--in", path,
+                       "--metrics", "flatness")
+        got = doc["metrics"]["spectral_flatness"]
+        assert got == spectral_flatness(np.array(seq.elements))
+        want = brute_spectral_flatness(seq, smooth_length(2 * n - 1))
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_infinite_merit_sentinel(self, capsys, tmp_path):
         from huffseq import Sequence

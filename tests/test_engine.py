@@ -37,6 +37,7 @@ from huffseq import (
     periodic_autocorr,
     recon_error,
     reconstruct,
+    spectral_flatness,
     xcorr,
 )
 from huffseq.analysis import (_DIRECT_MAX, _FOLDED, _SHORT, _method,
@@ -360,6 +361,7 @@ ENTRY_POINTS = {
     "is_canonical": lambda f, dual: is_canonical(f, dual=dual),
     "is_perfect": lambda f, dual: is_perfect(f),
     "merit_factor": lambda f, dual: merit_factor(f),
+    "spectral_flatness": lambda f, dual: spectral_flatness(f),
 }
 
 
@@ -508,7 +510,13 @@ class TestTransformCount:
         is_canonical(seq)
         merit_factor(seq)
         is_perfect(seq)
+        spectral_flatness(seq)
         assert counts == {"forward": 1, "inverse": 1}
+
+    @pytest.mark.parametrize("f", [RNG.normal(size=16383), cnormal(16383)])
+    def test_transform_count_flatness_of_an_array(self, counts, f):
+        spectral_flatness(f)
+        assert counts == {"forward": 1, "inverse": 0}
 
     def test_transform_count_cross_correlation(self, counts):
         correlate(RNG.normal(size=16384), RNG.normal(size=16384))
