@@ -273,16 +273,32 @@ def _real(x: np.ndarray) -> np.ndarray:
     return x if np.count_nonzero(x.imag) else x.real
 
 
+def _grid(a) -> np.ndarray:
+    """``a`` as a float64 array, or as a complex128 one when some imaginary
+    part is non-zero: a Sequence's elements through :func:`_real`, any
+    other real input cast to float64 (a float64 array is itself), and
+    complex or object input cast to complex128, then through
+    :func:`_real`."""
+    if isinstance(a, Sequence):
+        return _real(a.elements)
+    arr = np.asarray(a)
+    if arr.dtype.kind in "cO":
+        arr = _real(arr.astype(np.complex128, copy=False))
+    else:
+        arr = arr.astype(np.float64, copy=False)
+    if arr.size == 0:
+        raise ArgumentError("empty input")
+    return arr
+
+
 def _operands(a, b) -> tuple:
-    x = as_array(a)
-    same = b is None or b is a
-    y = x if same else as_array(b)
+    x = _grid(a)
+    y = x if b is None or b is a else _grid(b)
     if x.ndim == 0 or x.ndim != y.ndim:
         raise ArgumentError(
             f"operands need the same number of axes (>= 1), got {x.ndim} "
             f"and {y.ndim}")
-    x = _real(x)
-    return x, (x if same else _real(y))
+    return x, y
 
 
 def _same_values(x: np.ndarray, y: np.ndarray) -> bool:
@@ -515,7 +531,8 @@ def is_canonical(f, tol: float = DEFAULT_TOL, dual: bool = False
     """Check that every off-peak autocorrelation lag (all but 0 and +-(N-1))
     has magnitude at most tol * P, P = sum |f_i|^2 the sequence energy; the
     report's ``worst_lag`` is the first lag of largest magnitude (0 for
-    N <= 2).  ``dual`` switches to the conjugate-free autocorrelation."""
+    N <= 2).  ``dual`` switches to the conjugate-free autocorrelation.  An
+    energy beyond the float range is no reference: the verdict is False."""
     if tol <= 0:
         raise ArgumentError("tol must be positive")
     a = as_array(f)
@@ -525,7 +542,7 @@ def is_canonical(f, tol: float = DEFAULT_TOL, dual: bool = False
     values = _correlation(f, None, dual)[1]   # raw, and read-only if kept
     peak, worst, idx = _offpeak(values, a.size - 1)
     return CanonicalReport(
-        is_canonical=bool(worst <= tol * energy),
+        is_canonical=bool(math.isfinite(energy) and worst <= tol * energy),
         tolerance=tol,
         peak=abs(peak),
         energy=energy,
@@ -536,11 +553,12 @@ def is_canonical(f, tol: float = DEFAULT_TOL, dual: bool = False
 
 def is_perfect(f, tol: float = DEFAULT_TOL) -> bool:
     """True when every non-zero cyclic shift correlates to at most
-    tol * peak."""
+    tol * peak, and the peak is finite."""
     if tol <= 0:
         raise ArgumentError("tol must be positive")
     prof = periodic_autocorr(f)
-    return bool(prof.max_interior_offpeak <= tol * prof.peak)
+    return bool(math.isfinite(prof.peak)
+                and prof.max_interior_offpeak <= tol * prof.peak)
 
 
 def _offpeak_power(f) -> tuple:
@@ -633,12 +651,19 @@ def spectral_flatness(f) -> float:
 
 
 def dual_cross_spectrum(f, padded_length: int | None = None) -> np.ndarray:
-    """DFT(f) * DFT(reversed f): the spectrum whose inverse transform is the
-    conjugate-free autocorrelation.  For a dual-canonical sequence every bin
-    magnitude stays within 2*|f_1*f_N| of the dual peak |sum f_i^2|."""
+    """DFT(f) * DFT(reversed f), from the one transform DFT(f): the spectrum
+    whose inverse transform is the conjugate-free autocorrelation.  For a
+    dual-canonical sequence every bin magnitude stays within 2*|f_1*f_N| of
+    the dual peak |sum f_i^2|."""
     a = as_array(f)
     if a.ndim != 1:
         raise ArgumentError("dual_cross_spectrum expects a 1-D sequence")
     if padded_length is None:
         padded_length = 2 * a.size - 1
-    return dft(a, padded_length) * dft(a[::-1], padded_length)
+    # The transform of reversed f is w^((N-1)k) X[-k mod L], w = e^(-2 pi i/L):
+    # one transform, the phase's exponent reduced mod L in integers.
+    spec = dft(a, padded_length)
+    k = np.arange(padded_length, dtype=np.int64)
+    phase = np.exp(-2j * np.pi / padded_length * ((a.size - 1) * k
+                                                  % padded_length))
+    return spec * np.roll(spec[::-1], 1) * phase

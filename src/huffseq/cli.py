@@ -212,7 +212,7 @@ def _load_object_file(path: str) -> np.ndarray:
         raise ArgumentError(f"cannot read object file {path}: {exc}") from exc
     if not np.isfinite(data).all():
         raise ArgumentError(f"object file {path} holds non-finite values")
-    return data.astype(np.complex128)
+    return data
 
 
 def _sequence(args, default_s=None) -> Sequence:
@@ -288,7 +288,8 @@ def _cmd_compose(args) -> int:
 
 def _demo_mask(args, dim: int) -> np.ndarray:
     """The family's row (s defaults to 1) as a dim-D outer product, of at
-    most _GRID_LIMIT elements."""
+    most _GRID_LIMIT elements; a product beyond the float range is a
+    DomainError."""
     row = grid = as_array(_sequence(args, default_s=1))
     # The exponent is clamped so that a huge dim costs no huge integer: a
     # row of two or more elements is past the limit well before then.
@@ -296,8 +297,12 @@ def _demo_mask(args, dim: int) -> np.ndarray:
         raise ArgumentError(
             f"a {dim}-D mask of the {row.size}-element row has "
             f"{row.size}**{dim} elements, above the limit of {_GRID_LIMIT}")
-    for _ in range(dim - 1):
-        grid = outer(row, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(dim - 1):
+            grid = outer(row, grid)
+    if not np.isfinite(grid).all():
+        raise DomainError(f"the {dim}-D mask's entries are too large for "
+                          "float64")
     return grid
 
 

@@ -3,7 +3,10 @@ transforms, quantization, and the JSON interchange format.
 
 Conventions fixed across the package:
 
-* every sequence is a 1-D complex128 vector (grids are n-D complex128 arrays);
+* every sequence is a 1-D complex128 vector, and the correlation engine
+  returns n-D complex128 grids; the de-correlation protocol
+  (:mod:`huffseq.decorrelate`) keeps real grids float64 and returns
+  complex128 only when an operand is complex;
 * relative comparisons use ``DEFAULT_TOL = 1e-9`` against ``max(1, |a|, |b|)``;
 * the DFT is the unnormalized forward transform with negative exponent
   (``numpy.fft.fft``);

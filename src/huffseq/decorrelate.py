@@ -11,18 +11,26 @@ and recovered with fixed linear weights w_j as h = sum_j w_j m_j:
 
 By linearity the recombined measurement is one convolution:
 sum_j w_j (obj * m_j) = obj * sum_j w_j m_j.
+
+Real grids stay real: a real object, mask or measurement (a complex one
+whose imaginary parts are all zero included) is taken as float64, and
+:func:`blur`, :func:`measure` and :func:`reconstruct` return float64 unless
+an operand is complex, in which case they return complex128, as
+:func:`recombine` does.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArgumentError, as_array
-from .analysis import _offpeak, _sumsq, convolve, correlate, nd_autocorr
+from .core import ArgumentError, DomainError
+from .analysis import (_convolve, _correlation, _grid, _offpeak, _operands,
+                       _sumsq, correlate, nd_autocorr)
 
 _WEIGHTS = {"split_sign": (1, -1), "pedestal": (0.5, -0.5),
             "split_complex": (1, -1, 1j, -1j)}
@@ -64,31 +72,31 @@ class DoseReport:
     per_mask: tuple
 
 
-def _as_grid(h) -> np.ndarray:
-    arr = np.asarray(as_array(h))
-    if arr.size == 0:
-        raise ArgumentError("empty array")
+def _require_real(arr: np.ndarray, what: str) -> np.ndarray:
+    if arr.dtype.kind == "c":
+        raise ArgumentError(f"{what} requires a real-valued array; use "
+                            "split_complex for complex arrays")
     return arr
 
 
-def _require_real(arr: np.ndarray, what: str) -> np.ndarray:
-    if np.any(arr.imag != 0):
-        raise ArgumentError(f"{what} requires a real-valued array; use "
-                            "split_complex for complex arrays")
-    return arr.real
+def _require_finite(peak: complex) -> None:
+    if not cmath.isfinite(peak):
+        raise DomainError(f"mask's correlation peak (|peak| = {abs(peak)}) "
+                          "is not finite: its entries are too large for "
+                          "float64")
 
 
 def split_signs(h) -> MaskSet:
     """Masks (max(h,0), max(-h,0)): disjoint supports, exact recombination,
     and the lowest possible total dose for a two-mask encoding."""
-    hr = _require_real(_as_grid(h), "split_signs")
+    hr = _require_real(_grid(h), "split_signs")
     return MaskSet(masks=(np.maximum(hr, 0.0), np.maximum(-hr, 0.0)),
                    kind="split_sign")
 
 
 def min_pedestal(h) -> float:
     """Smallest offset rendering both pedestal masks non-negative."""
-    hr = _require_real(_as_grid(h), "min_pedestal")
+    hr = _require_real(_grid(h), "min_pedestal")
     return float(max(hr.max(), -hr.min(), 0.0))
 
 
@@ -96,7 +104,7 @@ def pedestal_masks(h, kappa: float | None = None) -> MaskSet:
     """Masks (h + kappa, kappa - h).  ``kappa`` defaults to the smallest
     admissible offset; smaller values are rejected naming the violated
     bound."""
-    hr = _require_real(_as_grid(h), "pedestal_masks")
+    hr = _require_real(_grid(h), "pedestal_masks")
     lo_neg = float(max(-hr.min(), 0.0))
     lo_pos = float(max(hr.max(), 0.0))
     if kappa is None:
@@ -117,7 +125,7 @@ def pedestal_masks(h, kappa: float | None = None) -> MaskSet:
 def split_complex(h) -> MaskSet:
     """Four masks sign-splitting the real and imaginary parts:
     (Re+, Re-, Im+, Im-)."""
-    arr = _as_grid(h)
+    arr = _grid(h)
     re, im = arr.real, arr.imag
     return MaskSet(masks=(np.maximum(re, 0.0), np.maximum(-re, 0.0),
                           np.maximum(im, 0.0), np.maximum(-im, 0.0)),
@@ -138,14 +146,15 @@ def dose(m: MaskSet) -> DoseReport:
 
 def blur(obj, h) -> np.ndarray:
     """Full linear (aperiodic) convolution of an object with a mask array;
-    output shape is obj.shape + h.shape - 1 per axis."""
-    o = _as_grid(obj)
-    k = _as_grid(h)
+    output shape is obj.shape + h.shape - 1 per axis, float64 for real
+    operands and complex128 otherwise."""
+    o, k = _grid(obj), _grid(h)
     if o.ndim != k.ndim:
         raise ArgumentError(
             f"object ({o.ndim}-D) and mask ({k.ndim}-D) must have the same "
             "number of axes")
-    return convolve(o, k)
+    return np.asarray(_convolve(*_operands(o, k)),
+                      dtype=np.result_type(o, k))
 
 
 def measure(obj, m: MaskSet) -> np.ndarray:
@@ -159,7 +168,7 @@ def delta_correlation_residual(h, dual: bool = False) -> tuple:
     """(peak, worst off-peak magnitude) of a mask's autocorrelation, in n-D:
     off-peak lags are those at no axis's extreme, apart from the center (see
     :mod:`huffseq.analysis`); the worst is 0.0 when there are none."""
-    k = _as_grid(h)
+    k = _grid(h)
     peak, worst, _ = _offpeak(correlate(k, dual=dual),
                               tuple(n - 1 for n in k.shape))
     return peak, worst
@@ -171,17 +180,20 @@ def reconstruct(s_t, h, dual: bool = False) -> np.ndarray:
 
     ``dual`` selects the conjugate-free correlation (for masks that are
     delta-correlated in the dual sense).  A mask that is not delta-correlated
-    at tolerance 1e-6 still reconstructs, but with a warning.  The result is
-    cropped to the original object's extent (offset h.shape-1 per axis).
+    at tolerance 1e-6 still reconstructs, but with a warning; a mask whose
+    correlation peak is not finite raises DomainError.  The result is
+    cropped to the original object's extent (offset h.shape-1 per axis):
+    float64 for a real measurement and mask, divided by the real peak, and
+    complex128 otherwise.
     """
-    st = _as_grid(s_t)
-    k = _as_grid(h)
+    st, k = _grid(s_t), _grid(h)
     if st.ndim != k.ndim:
         raise ArgumentError("measurement and mask dimensionality differ")
     if any(sn < kn for sn, kn in zip(st.shape, k.shape)):
         raise ArgumentError("measurement is smaller than the mask; it cannot "
                             "be a full blur of any object")
     peak, worst = delta_correlation_residual(k, dual=dual)
+    _require_finite(peak)
     if abs(peak) == 0:
         raise ArgumentError("mask has zero correlation peak; cannot "
                             "normalize the reconstruction")
@@ -191,7 +203,9 @@ def reconstruct(s_t, h, dual: bool = False) -> np.ndarray:
             f" vs peak {abs(peak):g}); reconstruction will carry artifacts",
             stacklevel=2)
     crop = tuple(slice(kn - 1, sn) for sn, kn in zip(st.shape, k.shape))
-    return correlate(k, st, dual=dual)[crop] / peak
+    est = np.asarray(_correlation(k, st, dual)[1][crop],
+                     dtype=np.result_type(k, st))
+    return est / (peak.real if est.dtype.kind == "f" else peak)
 
 
 @dataclass(frozen=True)
@@ -203,9 +217,9 @@ class ReconError:
 
 
 def recon_error(obj, obj_hat) -> ReconError:
-    """Max |difference| and the L2 error relative to the reference object."""
-    o = _as_grid(obj)
-    oh = _as_grid(obj_hat)
+    """Max |difference| and the L2 error relative to the reference object,
+    taken on real arrays when both are real."""
+    o, oh = _grid(obj), _grid(obj_hat)
     if o.shape != oh.shape:
         raise ArgumentError(
             f"shape mismatch: {o.shape} vs {oh.shape}")
@@ -217,11 +231,13 @@ def recon_error(obj, obj_hat) -> ReconError:
 
 def end_term_bound(h, obj_max: float = 1.0, dual: bool = False) -> float:
     """Worst-case reconstruction error from the mask's off-center
-    autocorrelation terms: (sum of off-center |r|) * obj_max / |peak|."""
-    k = _as_grid(h)
+    autocorrelation terms: (sum of off-center |r|) * obj_max / |peak|.  A
+    peak that is not finite raises DomainError."""
+    k = _grid(h)
     r = correlate(k, dual=True) if dual else nd_autocorr(k)
     center = tuple(n - 1 for n in k.shape)
     peak = abs(complex(r[center]))
+    _require_finite(peak)
     if peak == 0:
         raise ArgumentError("mask has zero correlation peak")
     total = float(np.abs(r).sum()) - peak

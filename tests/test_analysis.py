@@ -459,6 +459,19 @@ class TestDualCrossSpectrum:
         assert flats[2] == pytest.approx(0.9735849135346797)
         assert flats[0] < flats[1] < flats[2]
 
+    @pytest.mark.parametrize("n,s", [
+        (8, cmath.exp(1j * math.pi / 3)), (8, 2.0), (1001, 2.0),
+        (1001, cmath.exp(1j * math.pi / 3)), (16383, math.exp(4 / 16383))])
+    @pytest.mark.parametrize("extra", [0, 2, 37])
+    def test_matches_two_transform_product(self, n, s, extra):
+        # One transform X: DFT(reversed f)[k] = w^((N-1)k) X[-k mod L].
+        f = generate("harb", n=n, s=s).elements
+        length = 2 * n - 1 + extra
+        want = np.fft.fft(f, length) * np.fft.fft(f[::-1], length)
+        got = dual_cross_spectrum(f, None if extra == 0 else length)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(f).sum() ** 2
+
     def test_padded_length_override(self):
         f = gen_fibonacci(7, 1).elements
         assert dual_cross_spectrum(f, 32).size == 32

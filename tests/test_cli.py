@@ -435,6 +435,22 @@ class TestDemo:
         assert doc["max_abs_error"] == pytest.approx(0.102, abs=1e-3)
         assert doc["max_abs_error"] <= doc["end_term_bound"]
 
+    @pytest.mark.parametrize("row", ["1,2,3", "1,2\n3,4"], ids=["1d", "2d"])
+    def test_deblur_overflow_exit_3(self, capsys, tmp_path, row):
+        # fib7 at s=1e80 has entries near 1e240: the 1-D mask's correlation
+        # peak and the 2-D mask itself leave the float range, and neither
+        # gets as far as a numpy warning.
+        obj = tmp_path / "object.csv"
+        obj.write_text(row + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "demo", "deblur", "--object",
+                                 str(obj), "--family", "fib", "--n", "7",
+                                 "--s", "1e80")
+        assert code == 3
+        assert out == ""
+        assert "too large for float64" in err
+
     def test_deblur_non_finite_csv_exit_2(self, capsys, tmp_path):
         obj = tmp_path / "object.csv"
         obj.write_text("nan,1,2\n")

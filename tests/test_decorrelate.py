@@ -3,6 +3,7 @@ correlation reconstruction."""
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,8 +12,12 @@ import pytest
 import huffseq.decorrelate as decorrelate
 from huffseq import (
     ArgumentError,
+    DomainError,
     MaskSet,
+    Sequence,
     blur,
+    convolve,
+    correlate,
     dose,
     end_term_bound,
     fixtures,
@@ -305,6 +310,96 @@ def test_residual_matches_offpeak_oracle(grid, dual):
         assert worst == pytest.approx(max(offpeak), abs=1e-12)
     else:
         assert worst == 0.0
+
+
+# One real 1-D object and fib7 mask in each form a caller may pass.
+REAL_FORMS = {
+    "float": lambda v: np.asarray(v, dtype=float),
+    "int": lambda v: np.asarray(v, dtype=np.int64),
+    "list": lambda v: [int(x) for x in v],
+    "zero_imag": lambda v: np.asarray(v, dtype=complex),
+    "Sequence": Sequence,
+}
+
+
+class TestRealGrid:
+    """Real operands stay float64 from blur to reconstruct; a complex
+    operand makes the result complex128."""
+
+    OBJ = [3, 1, 4, 1, 5, 9, 2, 6]
+    MASK = gen_fibonacci(7, 1).elements.real
+
+    @pytest.mark.parametrize("form", sorted(REAL_FORMS))
+    def test_real_grid_dtypes(self, form):
+        obj, h = REAL_FORMS[form](self.OBJ), REAL_FORMS[form](self.MASK)
+        b = blur(obj, h)
+        assert b.dtype == np.float64
+        assert measure(obj, split_signs(h)).dtype == np.float64
+        assert measure(obj, pedestal_masks(h)).dtype == np.float64
+        assert reconstruct(REAL_FORMS[form](b), h).dtype == np.float64
+        assert reconstruct(b, h, dual=True).dtype == np.float64
+
+    def test_real_grid_complex_operands_stay_complex(self):
+        obj, h = np.asarray(self.OBJ, dtype=float), harb_8()
+        b = blur(obj, h)
+        assert b.dtype == np.complex128
+        assert measure(obj, split_complex(h)).dtype == np.complex128
+        assert reconstruct(b, h, dual=True).dtype == np.complex128
+        assert blur(obj + 1j, self.MASK).dtype == np.complex128
+
+    @pytest.mark.parametrize("obj,h", [
+        (np.random.default_rng(RNG_SEED).random(9), MASK),
+        (np.arange(40.0), gen_fibonacci(23, 1).elements.real),
+        (np.random.default_rng(RNG_SEED).random((40, 30)),
+         fib_grid_19().real),
+        (np.random.default_rng(RNG_SEED).integers(0, 255, (40, 30)),
+         fib_grid_19().real),
+    ], ids=["1d-direct", "1d-int", "2d-rfft", "2d-int"])
+    def test_real_grid_matches_engine_bit_for_bit(self, obj, h):
+        b = blur(obj, h)
+        assert np.array_equal(b, convolve(obj, h).real)
+        crop = tuple(slice(k - 1, n) for n, k in zip(b.shape, np.shape(h)))
+        peak = correlate(h)[tuple(n - 1 for n in np.shape(h))].real
+        assert np.array_equal(reconstruct(b, h),
+                              correlate(h, b)[crop].real / peak)
+
+    def test_real_grid_integer_round_trip_is_exact(self):
+        # One correctly rounded division: integer objects shorter than the
+        # fib11 mask, which meet no end term, come back exactly.
+        h = gen_fibonacci(11, 1).elements.real
+        obj = np.random.default_rng(RNG_SEED).integers(-50, 50, 10)
+        assert recon_error(obj, reconstruct(blur(obj, h), h)) == \
+            recon_error(obj, obj)
+
+    def test_real_grid_memory_peak(self):
+        # A real 512^2 round trip peaks below 5 object sizes of float64
+        # images; one that widens each image to complex128 peaks at 8.
+        obj = np.random.default_rng(RNG_SEED).random((512, 512))
+        h = fib_grid_19().real
+        recon_error(obj, reconstruct(blur(obj, h), h))   # warm caches
+        tracemalloc.start()
+        try:
+            recon_error(obj, reconstruct(blur(obj, h), h))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * obj.nbytes
+
+
+class TestNonFinitePeak:
+    H = np.array([1e200, 1e200, -1e200])
+
+    def test_reconstruct_raises_domain_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                reconstruct(blur(np.ones(4), self.H), self.H)
+
+    def test_end_term_bound_raises_domain_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                end_term_bound(self.H)
 
 
 class TestEndTermBound:

@@ -24,6 +24,7 @@ from huffseq import (
     convolve,
     correlate,
     dual_autocorr,
+    dual_cross_spectrum,
     end_term_bound,
     generate,
     is_canonical,
@@ -250,6 +251,19 @@ class TestTwoDimensional:
         got = correlate(f, g)
         assert np.array_equal(got.real, rounded(brute_xcorr_2d_int(f, g)))
 
+    @pytest.mark.parametrize("method,bits", [
+        ("fft_round", 8), ("int64", 26), ("pyint", 45)])
+    def test_real_grid_reconstruct_exact_paths(self, method, bits):
+        # On the exact paths too, a real estimate is the correlation's real
+        # part over the real peak, bit for bit: one division per entry.
+        h, b = ints((4, 5), bits), ints((12, 14), bits)
+        assert method_of(h, b) == method
+        peak = correlate(h)[3, 4].real
+        with pytest.warns(UserWarning, match="not delta-correlated"):
+            got = reconstruct(b, h)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, correlate(h, b)[3:12, 4:14].real / peak)
+
     def test_convolve_matches_blur_oracle(self):
         obj, mask = RNG.random((20, 18)), ints((7, 7), 3)
         assert close(convolve(obj, mask),
@@ -445,11 +459,23 @@ class TestSequenceMemo:
 
     @pytest.mark.parametrize("value", [1e160, 1e200])
     def test_energy_of_huge_entries_is_inf_quietly(self, value):
+        # An infinite energy is no reference for the tolerance: no verdict
+        # passes against it.
         seq = Sequence([value, 3.0, -1.0, 2.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert seq.energy == math.inf
-            assert is_canonical(seq).energy == math.inf
+            rep = is_canonical(seq)
+            assert rep.energy == math.inf
+            assert rep.is_canonical is False
+            assert is_perfect(seq) is False
+
+    def test_overflowed_reference_is_no_pass(self):
+        flat = np.full(6, 1e155)
+        rep = is_canonical(flat)
+        assert (rep.energy, rep.worst_residual) == (math.inf, math.inf)
+        assert rep.is_canonical is False
+        assert is_perfect(flat) is False
 
     @pytest.mark.parametrize("n", [13, 256, 257, 258, 300, SIDE])
     @pytest.mark.parametrize("kind", ["pm1", "float"])
@@ -516,6 +542,11 @@ class TestTransformCount:
     @pytest.mark.parametrize("f", [RNG.normal(size=16383), cnormal(16383)])
     def test_transform_count_flatness_of_an_array(self, counts, f):
         spectral_flatness(f)
+        assert counts == {"forward": 1, "inverse": 0}
+
+    @pytest.mark.parametrize("f", [RNG.normal(size=16383), cnormal(16383)])
+    def test_transform_count_dual_cross_spectrum(self, counts, f):
+        dual_cross_spectrum(f)
         assert counts == {"forward": 1, "inverse": 0}
 
     def test_transform_count_cross_correlation(self, counts):
