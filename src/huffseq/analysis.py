@@ -12,17 +12,19 @@ canonical sequence or an n-D Huffman array vanishes at each of them, and a
 perfect array at every non-zero cyclic shift.  :func:`_offpeak` alone finds
 them, for every delta-correlation verdict.
 
-An autocorrelation on the FFT path transforms its operand once.  A
-:class:`~huffseq.core.Sequence` correlated with itself is computed once per
-sense (conjugating or dual) and shared by every later call on it, from
-:func:`autocorr` to :func:`is_canonical` and :func:`merit_factor`; its energy
-is kept the same way.  ndarray inputs are not memoised, and every returned
-array is a fresh writable copy.
+An autocorrelation on the FFT path transforms its operand once, and the
+conjugating one of a complex operand inverts the real |X|^2 as a half-length
+Hermitian transform.  A :class:`~huffseq.core.Sequence` correlated with
+itself is computed once per sense (conjugating or dual) and shared by every
+later call on it, from :func:`autocorr` to :func:`is_canonical` and
+:func:`merit_factor`; its energy is kept the same way.  ndarray inputs are
+not memoised, and every returned array is a fresh writable copy.
 
-:func:`spectral_flatness` takes |F| on the grid of the FFT autocorrelation,
-L = _fast_len(2N-1) bins.  A Sequence keeps the magnitude of the one forward
-transform its FFT autocorrelation takes, and the flatness reads it; any
-other input takes that transform once, on the same grid.
+A Sequence also keeps the forward transform X that its FFT autocorrelation
+takes, on the grid of L = _fast_len(2N-1) bins: both senses share it, so a
+dual check after the conjugating one takes an inverse transform only, and
+:func:`spectral_flatness` reads |X| from it.  Any other input to the
+flatness takes that transform once, on the same grid.
 """
 
 from __future__ import annotations
@@ -71,15 +73,53 @@ def _full_shape(x: np.ndarray, y: np.ndarray) -> list:
     return [p + q - 1 for p, q in zip(x.shape, y.shape)]
 
 
+def _mirrored(z: np.ndarray) -> np.ndarray:
+    """z(-w): z at index -w mod L on every axis, by slicing (bin 0 stays,
+    the rest reverse)."""
+    for ax in range(z.ndim):
+        head = (slice(None),) * ax
+        z = np.concatenate([z[head + (slice(1),)],
+                            z[head + (slice(None, 0, -1),)]], axis=ax)
+    return z
+
+
+def _lags(z: np.ndarray, shape, hermitian: bool = False) -> np.ndarray:
+    """The lags -(n-1) .. n-1 of a cyclic autocorrelation z on every axis
+    (n from ``shape``), zero lag at index n-1: the last n-1 entries of each
+    axis, then its first n.  A ``hermitian`` z holds only lags 0 .. L//2 of
+    the last axis: the negative ones are the conjugates of the positive
+    ones mirrored through the zero lag, r_-k = conj(r_k)."""
+    lead = z.ndim - 1 if hermitian else z.ndim
+    for ax in range(lead):
+        head, n = (slice(None),) * ax, shape[ax]
+        z = np.concatenate([z[head + (slice(z.shape[ax] - n + 1, None),)],
+                            z[head + (slice(n),)]], axis=ax)
+    if hermitian:
+        n = shape[-1]
+        z = z[..., :n]
+        back = z[(slice(None, None, -1),) * lead + (slice(n - 1, 0, -1),)]
+        z = np.concatenate([back.conj(), z], axis=-1)
+    return z
+
+
 def _fft_convolve(x, y, length, real: bool, dual: bool = False,
-                  keep=None) -> np.ndarray:
+                  memo=None) -> np.ndarray:
     """Full linear convolution by a zero-padded FFT over every axis, each
     axis padded to ``length(full extent)``.  With ``y`` None it is instead
     the autocorrelation of x (conjugating unless ``dual``) from the one
-    transform X of x: the inverse transform of |X|^2, or of X(w) X(-w) for
-    the dual one, is the cyclic autocorrelation, which is rotated to put
-    the zero lag at index shape-1 on every axis.  ``keep``, if given, is
-    called with X."""
+    forward transform X of x, its lags gathered by :func:`_lags`:
+
+    * dual, complex x: the inverse transform of X(w) X(-w), X(-w) sliced
+      from X by :func:`_mirrored`;
+    * conjugating, complex x: |X|^2 is real, so its inverse is Hermitian
+      and half of it is taken: np.fft.ihfft along the last axis (lags
+      0 .. L//2), then np.fft.ifft along each other axis;
+    * real x: the inverse real transform of X conj(X), both senses.
+
+    ``memo``, if given, is called with a function computing X and
+    returns X: a Sequence's memo, which keeps X for both senses and
+    :func:`spectral_flatness`.  Entries near the float range may overflow
+    to inf or NaN, quietly."""
     full = _full_shape(x, x if y is None else y)
     s = [length(n) for n in full]
     axes = tuple(range(x.ndim))
@@ -87,19 +127,25 @@ def _fft_convolve(x, y, length, real: bool, dual: bool = False,
         fwd, inv = np.fft.rfftn, np.fft.irfftn
     else:
         fwd, inv = np.fft.fftn, np.fft.ifftn
-    spec = fwd(x, s, axes)
-    if keep is not None:
-        keep(spec)
-    if y is not None:
-        spec = spec * fwd(y, s, axes)
-    elif dual and not real:   # for a real x, X(-w) is conj X(w)
-        spec = spec * np.roll(spec[(slice(None, None, -1),) * x.ndim], 1, axes)
-    else:
-        spec = spec * spec.conj()
-    z = inv(spec, s, axes)
-    if y is None:
-        z = np.roll(z, [n - 1 for n in x.shape], axes)
-    return z[tuple(slice(n) for n in full)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = fwd(x, s, axes) if memo is None else \
+            memo(lambda: fwd(x, s, axes))
+        # Each product replaces X, so that it is let go before the inverse
+        # (a Sequence's memo keeps its own reference).
+        if y is not None:
+            spec = spec * fwd(y, s, axes)
+            return inv(spec, s, axes)[tuple(slice(n) for n in full)]
+        if real:   # for a real x, X(-w) is conj X(w)
+            spec = spec * spec.conj()
+        elif dual:
+            spec = spec * _mirrored(spec)
+        else:
+            spec = (spec * spec.conj()).real
+            z = np.fft.ihfft(spec, axis=-1)
+            for ax in axes[:-1]:
+                z = np.fft.ifft(z, axis=ax)
+            return _lags(z, x.shape, hermitian=True)
+        return _lags(inv(spec, s, axes), x.shape)
 
 
 def _sumsq(v: np.ndarray) -> float:
@@ -240,16 +286,17 @@ def _kronecker(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _convolve(x: np.ndarray, y: np.ndarray, flip: bool = False,
-              dual: bool = False, keep=None) -> np.ndarray:
+              dual: bool = False, memo=None) -> np.ndarray:
     """Full linear convolution of two arrays of equal rank by the method
     :func:`_method` picks, or with ``flip`` the correlation of x against y:
     x reversed on every axis, and conjugated unless ``dual``, first.  The
     pick comes before the reversal, which changes nothing it reads, so an
     autocorrelation's one operand is both x and y, and the FFT methods
-    transform it once; on the 'rfft' and 'fft' paths of an autocorrelation
-    that transform, the one :func:`_spectrum` takes, goes to ``keep``.  The
-    exact methods return int64 or Python-int (object) arrays holding the
-    exact integer result."""
+    transform it once.  On the 'rfft' and 'fft' paths of an autocorrelation
+    that forward transform X, the one :func:`_transform` takes, goes
+    through ``memo`` (see :func:`_fft_convolve`); no other path calls
+    it.  The exact methods return int64 or Python-int (object) arrays
+    holding the exact integer result."""
     method = _method(x, y)
     if flip and y is x and method in ("rfft", "fft", "fft_round"):
         y = None
@@ -260,7 +307,8 @@ def _convolve(x: np.ndarray, y: np.ndarray, flip: bool = False,
     if method == "direct":
         return np.convolve(x, y)
     if method in ("rfft", "fft"):
-        return _fft_convolve(x, y, _fast_len, method == "rfft", dual, keep)
+        return _fft_convolve(x, y, _fast_len, method == "rfft", dual,
+                             memo)
     if method == "pyint":
         return _kronecker(x, y)
     if method == "int64":
@@ -334,8 +382,9 @@ def _correlation(a, b, dual: bool, periodic: bool = False) -> tuple:
     makes an autocorrelation.  A Sequence correlated with itself keeps that
     result, read-only, in its memo: one entry per sense, and one for both
     when the elements are real, where the two agree.  It also keeps the
-    magnitude of the forward transform an FFT autocorrelation takes, which
-    both senses share and :func:`spectral_flatness` reads."""
+    forward transform X that an FFT autocorrelation takes: the other sense
+    reads it instead of transforming again, and so does
+    :func:`spectral_flatness`."""
     x, y = _operands(a, b)
     if periodic and x.shape != y.shape:
         raise ArgumentError("periodic correlation needs equal shapes, got "
@@ -345,11 +394,9 @@ def _correlation(a, b, dual: bool, periodic: bool = False) -> tuple:
     key = "dual" if dual and x.dtype.kind == "c" else "conj"
 
     if isinstance(a, Sequence) and y is x:
-        def keep(spec):
-            a._memoised("spectrum", lambda: np.abs(spec))
-
         return x, a._memoised(key, lambda: _convolve(
-            x, x, flip=True, dual=key == "dual", keep=keep))
+            x, x, flip=True, dual=key == "dual",
+            memo=functools.partial(a._memoised, "transform")))
     return x, _convolve(x, y, flip=True, dual=key == "dual")
 
 
@@ -609,7 +656,14 @@ def merit_factor_exact(f) -> Fraction:
     energy = int(r[a.size - 1])
     if energy == 0:
         raise ArgumentError("merit factor is undefined for the zero sequence")
-    side = r[a.size:].astype(object)   # Python ints: the squares can pass 2^63
+    # The squares sum in int64 when max|r_k|^2 times their count is below
+    # 2^63, so that no partial sum can reach it, and in Python ints
+    # otherwise.  |r_k| <= energy bounds max|r_k| without a pass.
+    side, worst = r[a.size:], energy
+    if worst * worst * side.size >= 2 ** 63:
+        worst = int(np.abs(side).max())
+    side = side.astype(np.int64 if worst * worst * side.size < 2 ** 63
+                       else object, copy=False)
     sidepower = int(np.dot(side, side))
     if sidepower == 0:
         raise ArgumentError("all off-peak lags are zero (infinite merit "
@@ -617,32 +671,31 @@ def merit_factor_exact(f) -> Fraction:
     return Fraction(energy * energy, 2 * sidepower)
 
 
-def _spectrum(a: np.ndarray) -> np.ndarray:
-    """|X| of the 1-D a on the grid of its FFT autocorrelation,
+def _transform(a: np.ndarray) -> np.ndarray:
+    """X of the 1-D a on the grid of its FFT autocorrelation,
     L = _fast_len(2N-1): the L//2+1 bins of np.fft.rfft when a is real, all
     L of np.fft.fft when it is not, the transform _fft_convolve takes, bit
-    for bit.  The magnitude, not its square, so that entries up to the
-    float range do not overflow."""
+    for bit."""
     x = _real(a)
     n = _fast_len(2 * x.size - 1)
-    return np.abs(np.fft.rfft(x, n) if x.dtype.kind == "f" else
-                  np.fft.fft(x, n))
+    return np.fft.rfft(x, n) if x.dtype.kind == "f" else np.fft.fft(x, n)
 
 
 def spectral_flatness(f) -> float:
     """min/max |F| over the L = _fast_len(2N-1) DFT bins of f zero-padded
     to L (the smallest 2^a 3^b 5^c >= 2N-1, the grid of its FFT
     autocorrelation); 1 means a perfectly flat spectrum.  A Sequence reads
-    the magnitudes its FFT autocorrelation kept, or computes and keeps
-    them, so the value is the same in either order and for the elements
-    as an ndarray, bit for bit."""
+    the transform X its FFT autocorrelation kept, or computes and keeps it,
+    so the value is the same in either order and for the elements as an
+    ndarray, bit for bit.  |X| is taken, not |X|^2, so that entries up to
+    the float range do not overflow."""
     a = as_array(f)
     if a.ndim != 1:
         raise ArgumentError("spectral_flatness expects a 1-D sequence")
     if isinstance(f, Sequence):
-        spec = f._memoised("spectrum", lambda: _spectrum(a))
+        spec = np.abs(f._memoised("transform", lambda: _transform(a)))
     else:
-        spec = _spectrum(a)
+        spec = np.abs(_transform(a))
     top = float(spec.max())
     if top == 0:
         raise ArgumentError("spectral flatness is undefined for the zero "
@@ -666,4 +719,4 @@ def dual_cross_spectrum(f, padded_length: int | None = None) -> np.ndarray:
     k = np.arange(padded_length, dtype=np.int64)
     phase = np.exp(-2j * np.pi / padded_length * ((a.size - 1) * k
                                                   % padded_length))
-    return spec * np.roll(spec[::-1], 1) * phase
+    return spec * _mirrored(spec) * phase

@@ -81,8 +81,8 @@ class Sequence:
     ``_memo`` keeps what is computed once from the elements, through
     :meth:`_memoised` alone: the energy, the raw autocorrelations (one per
     sense) that every check in :mod:`huffseq.analysis` shares, and the
-    magnitude |X| of the forward transform on the autocorrelation's FFT grid
-    (one for both senses), which spectral flatness reads."""
+    forward transform X on the autocorrelation's FFT grid, which both
+    senses share and from which spectral flatness takes |X|."""
 
     elements: np.ndarray
     family: str = "custom"

@@ -116,6 +116,25 @@ def brute_autocorr_2d(grid, conjugate=True):
     return out
 
 
+def brute_autocorr_lag(f, k, conjugate=True):
+    """One lag r_k = sum_i c(f_i) f_{i+k} of a 1-D autocorrelation."""
+    f = [complex(v) for v in f]
+    return sum(((v.conjugate() if conjugate else v) * f[i + k]
+                for i, v in enumerate(f) if 0 <= i + k < len(f)), 0j)
+
+
+def brute_autocorr_2d_lag(grid, k1, k2, conjugate=True):
+    """One lag (k1, k2) of a 2-D autocorrelation, as brute_autocorr_2d."""
+    rows, cols = len(grid), len(grid[0])
+    acc = 0j
+    for i in range(max(0, -k1), min(rows, rows - k1)):
+        for j in range(max(0, -k2), min(cols, cols - k2)):
+            v = complex(grid[i][j])
+            acc += (v.conjugate() if conjugate else v) \
+                * complex(grid[i + k1][j + k2])
+    return acc
+
+
 def brute_blur(obj, h):
     """Full linear convolution of two 1-D lists."""
     obj = [complex(v) for v in obj]

@@ -41,11 +41,14 @@ from huffseq import (
     spectral_flatness,
     xcorr,
 )
-from huffseq.analysis import (_DIRECT_MAX, _FOLDED, _SHORT, _method,
-                              _operands, _sumsq)
+from huffseq.analysis import (_DIRECT_MAX, _FOLDED, _SHORT, _fast_len,
+                              _method, _operands, _sumsq)
 
 from _oracles import (
+    brute_autocorr,
     brute_autocorr_2d,
+    brute_autocorr_2d_lag,
+    brute_autocorr_lag,
     brute_blur_2d,
     brute_merit_factor_exact,
     brute_periodic_autocorr,
@@ -321,6 +324,16 @@ class TestMeritFactorExact:
         assert method_of(seq) == "fft_round"
         assert merit_factor_exact(seq) == brute_merit_factor_exact(seq)
 
+    @pytest.mark.parametrize("seq", [
+        [1, 3037000499],            # the one side square just below 2^63
+        [1, 3037000500],            # and just above it
+        [1, 2 ** 40],               # a side square far past 2^63
+        [31800] * 4,                # squares below 2^63, their sum past it
+        [5, -3, 7, 2, -6, 1, 4],    # small lags: int64 squares
+    ])
+    def test_side_squares_either_side_of_int64(self, seq):
+        assert merit_factor_exact(seq) == brute_merit_factor_exact(seq)
+
     def test_barker_still_exact(self):
         assert merit_factor_exact([1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1,
                                    1]) == Fraction(169, 12)
@@ -363,6 +376,76 @@ class TestOneTransformAutocorrelation:
         got = correlate(f)
         assert not got.imag.any()
         assert np.array_equal(got.real, rounded(exact))
+
+
+def sampled_lags(n, rng):
+    """Lags of a 1-D autocorrelation of length n to check one by one: six
+    at each end, -6..6 around the zero lag, and 24 drawn between."""
+    lags = list(range(-(n - 1), -(n - 7))) + list(range(-6, 7)) + \
+        list(range(n - 6, n)) + rng.integers(-(n - 1), n, 24).tolist()
+    return sorted(set(lags))
+
+
+class TestHermitianAutocorrelation:
+    """Complex autocorrelations past the direct bound: the conjugating one
+    inverts the real |X|^2 by a half-length Hermitian transform and mirrors
+    the negative lags from the positive ones; the dual one inverts
+    X(w) X(-w).  Both senses match the brute-force oracles within 1e-12 of
+    the energy, on grids L = _fast_len(2N-1) odd and even."""
+
+    @staticmethod
+    def check(got, want, f):
+        energy = float(np.sum(np.abs(f) ** 2))
+        err = float(np.max(np.abs(got - np.asarray(want))))
+        assert err <= 1e-12 * energy
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_hermitian_every_lag_matches_oracle(self, dual):
+        f = cnormal(SIDE + 1)
+        assert (method_of(f), _fast_len(2 * f.size - 1)) == ("fft", 729)
+        self.check(correlate(f, dual=dual),
+                   brute_autocorr(f.tolist(), conjugate=not dual), f)
+
+    @pytest.mark.parametrize("n,length", [
+        (1688, 3375), (2000, 4000), (4097, 8640), (16383, 32768)])
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_hermitian_sampled_lags_match_oracle(self, n, length, dual):
+        assert _fast_len(2 * n - 1) == length
+        rng = np.random.default_rng(n)
+        f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        got = correlate(f, dual=dual)
+        lags = sampled_lags(n, rng)
+        elements = f.tolist()
+        want = [brute_autocorr_lag(elements, k, conjugate=not dual)
+                for k in lags]
+        self.check(got[np.array(lags) + n - 1], want, f)
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_hermitian_grid_matches_oracle(self, dual):
+        grid = cnormal((40, 50))
+        got = correlate(grid, dual=dual)
+        rows = list(range(-39, -36)) + [-1, 0, 1] + list(range(37, 40))
+        cols = list(range(-49, -46)) + [-1, 0, 1] + list(range(47, 50))
+        elements = grid.tolist()
+        want = [[brute_autocorr_2d_lag(elements, i, j, conjugate=not dual)
+                 for j in cols] for i in rows]
+        self.check(got[np.ix_(np.array(rows) + 39, np.array(cols) + 49)],
+                   want, grid)
+
+    @pytest.mark.parametrize("n", [SIDE + 1, 1688, 2000, 4097, 16383])
+    def test_hermitian_negative_lags_are_exact_conjugates(self, n):
+        r = correlate(cnormal(n))
+        assert np.array_equal(r[::-1], r.conj())
+
+    @pytest.mark.parametrize("shape", [(40, 50), (21, 33), (5, 6, 7)])
+    def test_hermitian_grid_negative_last_axis_lags_exact(self, shape):
+        # r(-k) = conj(r(k)) bit for bit wherever the last axis' lag is not
+        # zero: one of the pair is mirrored from the other.
+        r = correlate(cnormal(shape))
+        mirror = r[(slice(None, None, -1),) * r.ndim].conj()
+        zero = shape[-1] - 1
+        assert np.array_equal(np.delete(r, zero, axis=-1),
+                              np.delete(mirror, zero, axis=-1))
 
 
 # The seven entry points that share a Sequence's autocorrelation, each
@@ -477,6 +560,25 @@ class TestSequenceMemo:
         assert rep.is_canonical is False
         assert is_perfect(flat) is False
 
+    @pytest.mark.parametrize("value", [1e155, 1e155j, (1 + 1j) * 1e155])
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("memo", [False, True])
+    def test_overflowed_fft_path_is_quiet_and_no_pass(self, value, dual,
+                                                      memo):
+        # Past the direct bound the spectrum product overflows; the
+        # autocorrelation holds inf or NaN, and no verdict passes, quietly.
+        flat = np.full(600, value)
+        f = Sequence(flat) if memo else flat
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert method_of(flat) in ("rfft", "fft")
+            rep = is_canonical(f, dual=dual)
+            assert rep.energy == math.inf
+            assert rep.is_canonical is False
+            assert is_perfect(f) is False
+            merit_factor(f)
+            spectral_flatness(f)
+
     @pytest.mark.parametrize("n", [13, 256, 257, 258, 300, SIDE])
     @pytest.mark.parametrize("kind", ["pm1", "float"])
     def test_merit_factor_sums_as_the_complex_lags(self, n, kind):
@@ -502,10 +604,13 @@ class TestSequenceMemo:
 class TestTransformCount:
     """np.fft calls, counted by monkeypatching: an autocorrelation takes
     one forward and one inverse transform, and a Sequence takes one
-    autocorrelation for every check on it."""
+    autocorrelation per sense for every check on it, both senses from one
+    forward transform.  The Hermitian inverse of a complex n-D grid is
+    np.fft.ihfft along the last axis and np.fft.ifft along each other one:
+    one inverse transform over the grid, in ndim calls."""
 
     FORWARD = ("fft", "fftn", "rfft", "rfftn")
-    INVERSE = ("ifft", "ifftn", "irfft", "irfftn")
+    INVERSE = ("ifft", "ifftn", "irfft", "irfftn", "hfft", "ihfft")
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -538,6 +643,20 @@ class TestTransformCount:
         is_perfect(seq)
         spectral_flatness(seq)
         assert counts == {"forward": 1, "inverse": 1}
+
+    def test_transform_count_both_senses_of_a_sequence(self, counts):
+        seq = generate("harb", n=16383, s=complex(np.exp(1j)))
+        autocorr(seq)
+        is_canonical(seq, dual=True)
+        merit_factor(seq)
+        spectral_flatness(seq)
+        assert counts == {"forward": 1, "inverse": 2}
+
+    @pytest.mark.parametrize("dual,inverse_calls", [(False, 2), (True, 1)])
+    def test_transform_count_complex_grid(self, counts, dual,
+                                          inverse_calls):
+        correlate(cnormal((40, 50)), dual=dual)
+        assert counts == {"forward": 1, "inverse": inverse_calls}
 
     @pytest.mark.parametrize("f", [RNG.normal(size=16383), cnormal(16383)])
     def test_transform_count_flatness_of_an_array(self, counts, f):
