@@ -149,31 +149,37 @@ def _fft_convolve(x, y, length, real: bool, dual: bool = False,
 
 
 def _sumsq(v: np.ndarray) -> float:
-    """sum |v_i|^2 over every entry of a real or complex128 array, in float64,
+    """sum |v_i|^2 over every entry of a real or complex array, in float64,
     on the calling thread, within about 1e-15 of the exact sum of the
-    rounded squares.
+    rounded squares.  The route and its rounding depend on the entry count
+    alone, so a complex array whose imaginary parts are all zero sums bit
+    for bit as its real parts.
 
     No BLAS: OpenBLAS hands a dot product of more than 10 000 elements to
     worker threads, which go on spinning on a second core after it returns,
     and its SIMD accumulation drifts by up to about n * 2^-53 (np.vdot of
     1024 equal entries is 2e-15 off).  Up to _SHORT entries math.fsum
     rounds the exact total of the squares once, so integer squares whose
-    sum is below 2^53 sum exactly.  Longer arrays are squared and folded in
-    half, the first half plus the second, until at most _FOLDED partial
-    sums are left for math.fsum: each square goes through
-    log2(n / _FOLDED) roundings of sums of like size on the way."""
-    v = v.ravel()
-    if v.dtype != np.float64:
-        v = v.view(np.float64) if v.dtype == np.complex128 else \
-            v.astype(np.float64)
+    sum is below 2^53 sum exactly.  Longer arrays are squared, a complex
+    entry as re^2 + im^2, and folded in half, the first half plus the
+    second, until at most _FOLDED partial sums are left for math.fsum: each
+    square goes through log2(n / _FOLDED) roundings of sums of like size
+    on the way."""
+    cplx = v.dtype.kind == "c"
+    v = v.ravel().astype(np.complex128 if cplx else np.float64, copy=False)
     if v.size <= _SHORT:
         # A Python float square overflows to inf without a warning, so no
         # np.errstate is entered: at this size that costs more than squaring.
-        terms = [x * x for x in v.tolist()]
+        flat = v.view(np.float64) if cplx else v
+        terms = [x * x for x in flat.tolist()]
     else:
         n, odd = v.size, []
         with np.errstate(over="ignore"):   # an infinite square sums to inf
-            sq = v * v
+            if cplx:
+                sq = v.real * v.real
+                sq += v.imag * v.imag
+            else:
+                sq = v * v
             while n > _FOLDED:
                 half = n // 2
                 if n % 2:
@@ -357,6 +363,27 @@ def _same_values(x: np.ndarray, y: np.ndarray) -> bool:
         np.array_equal(x.flat[:64], y.flat[:64]) and np.array_equal(x, y)
 
 
+def _kept(f, key: str, compute):
+    """``compute()``, kept under ``key`` in the memo when f is a Sequence."""
+    return f._memoised(key, compute) if isinstance(f, Sequence) else compute()
+
+
+def _one_d(f, name: str, minimum: int = 1) -> np.ndarray:
+    """as_array(f) when it is 1-D with at least ``minimum`` entries, else an
+    ArgumentError naming the check ``name``."""
+    a = as_array(f)
+    if a.ndim != 1 or a.size < minimum:
+        raise ArgumentError(f"{name} expects a 1-D sequence of length >= "
+                            f"{minimum}, got shape {a.shape}")
+    return a
+
+
+def _tolerance(tol: float) -> None:
+    """An ArgumentError unless tol is positive and finite (NaN is neither)."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ArgumentError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _fold(r: np.ndarray, shape: tuple) -> np.ndarray:
     """Periodic correlation from the aperiodic one: p_k = r_k + r_{k-N} for
     k = 0..N-1 on every axis."""
@@ -392,12 +419,11 @@ def _correlation(a, b, dual: bool, periodic: bool = False) -> tuple:
     if y is not x and _same_values(x, y):
         y = x   # an autocorrelation all the same, computed as one
     key = "dual" if dual and x.dtype.kind == "c" else "conj"
-
-    if isinstance(a, Sequence) and y is x:
-        return x, a._memoised(key, lambda: _convolve(
-            x, x, flip=True, dual=key == "dual",
-            memo=functools.partial(a._memoised, "transform")))
-    return x, _convolve(x, y, flip=True, dual=key == "dual")
+    if y is not x:
+        return x, _convolve(x, y, flip=True, dual=key == "dual")
+    return x, _kept(a, key, lambda: _convolve(
+        x, x, flip=True, dual=key == "dual",
+        memo=functools.partial(_kept, a, "transform")))
 
 
 def correlate(a, b=None, *, dual: bool = False,
@@ -506,9 +532,7 @@ def _profile(values: np.ndarray, kind: str, lags: np.ndarray,
 
 def xcorr(f, g, conjugate: bool = True) -> CorrelationProfile:
     """All |f|+|g|-1 aperiodic correlation lags of f against g."""
-    a, b = as_array(f), as_array(g)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ArgumentError("xcorr expects 1-D sequences")
+    a, b = _one_d(f, "xcorr"), _one_d(g, "xcorr")
     values = correlate(f, g, dual=not conjugate)
     lags = np.arange(-(a.size - 1), b.size)
     kind = "aperiodic" if conjugate else "dual_aperiodic"
@@ -528,11 +552,7 @@ def dual_autocorr(f) -> CorrelationProfile:
 
 def periodic_autocorr(f) -> CorrelationProfile:
     """Cyclic autocorrelation at shifts 0..N-1 (conjugating)."""
-    a = as_array(f)
-    if a.ndim != 1:
-        raise ArgumentError("periodic_autocorr expects a 1-D sequence")
-    if a.size < 2:
-        raise ArgumentError("periodic autocorrelation needs length >= 2")
+    a = _one_d(f, "periodic_autocorr", 2)
     values = correlate(f, periodic=True)
     return _profile(values, "periodic", np.arange(a.size), 0)
 
@@ -568,24 +588,17 @@ class CanonicalReport:
         return self.is_canonical
 
 
-def _energy_of(f, a: np.ndarray) -> float:
-    """The energy of a = as_array(f), which a Sequence keeps."""
-    return f.energy if isinstance(f, Sequence) else _energy(a)
-
-
 def is_canonical(f, tol: float = DEFAULT_TOL, dual: bool = False
                  ) -> CanonicalReport:
     """Check that every off-peak autocorrelation lag (all but 0 and +-(N-1))
     has magnitude at most tol * P, P = sum |f_i|^2 the sequence energy; the
     report's ``worst_lag`` is the first lag of largest magnitude (0 for
     N <= 2).  ``dual`` switches to the conjugate-free autocorrelation.  An
-    energy beyond the float range is no reference: the verdict is False."""
-    if tol <= 0:
-        raise ArgumentError("tol must be positive")
-    a = as_array(f)
-    if a.ndim != 1:
-        raise ArgumentError("is_canonical expects a 1-D sequence")
-    energy = _energy_of(f, a)
+    energy beyond the float range is no reference: the verdict is False.
+    ``tol`` must be positive and finite."""
+    _tolerance(tol)
+    a = _one_d(f, "is_canonical")
+    energy = _kept(f, "energy", lambda: _energy(a))
     values = _correlation(f, None, dual)[1]   # raw, and read-only if kept
     peak, worst, idx = _offpeak(values, a.size - 1)
     return CanonicalReport(
@@ -600,32 +613,22 @@ def is_canonical(f, tol: float = DEFAULT_TOL, dual: bool = False
 
 def is_perfect(f, tol: float = DEFAULT_TOL) -> bool:
     """True when every non-zero cyclic shift correlates to at most
-    tol * peak, and the peak is finite."""
-    if tol <= 0:
-        raise ArgumentError("tol must be positive")
+    tol * peak (tol positive and finite), and the peak is finite."""
+    _tolerance(tol)
     prof = periodic_autocorr(f)
     return bool(math.isfinite(prof.peak)
                 and prof.max_interior_offpeak <= tol * prof.peak)
 
 
 def _offpeak_power(f) -> tuple:
-    a = as_array(f)
-    if a.ndim != 1:
-        raise ArgumentError("merit_factor expects a 1-D sequence")
-    if a.size < 2:
-        raise ArgumentError("merit factor is undefined for length-1 input")
-    energy = _energy_of(f, a)
+    a = _one_d(f, "merit_factor", 2)
+    energy = _kept(f, "energy", lambda: _energy(a))
     if energy == 0:
         raise ArgumentError("merit factor is undefined for the zero sequence")
     # The strictly positive lags as computed: real for real elements, and
-    # int64 or Python ints on the exact paths, which _sumsq casts as
-    # correlate does.  math.fsum sums real lags as it sums their complex
-    # cast, whose zero imaginary parts add nothing; the longer fold route
-    # rounds by layout, so it takes the complex lags, as correlate gives.
-    side = _correlation(f, None, False)[1][a.size:]
-    if side.dtype.kind != "c" and 2 * side.size > _SHORT:
-        side = np.asarray(side, dtype=np.complex128)
-    return energy, _sumsq(side)
+    # int64 or Python ints on the exact paths.  _sumsq sums them as it sums
+    # their complex128 cast, which correlate returns.
+    return energy, _sumsq(_correlation(f, None, False)[1][a.size:])
 
 
 def merit_factor(f) -> float:
@@ -640,10 +643,7 @@ def merit_factor(f) -> float:
 def merit_factor_exact(f) -> Fraction:
     """Merit factor as an exact Fraction; requires integer-valued elements.
     The lags come from the exact integer path of :func:`correlate`."""
-    a = as_array(f)
-    if a.ndim != 1 or a.size < 2:
-        raise ArgumentError("merit_factor_exact expects a 1-D sequence of "
-                            "length >= 2")
+    a = _one_d(f, "merit_factor_exact", 2)
     top = float(np.abs(a.real).max())
     if not math.isfinite(top) or np.count_nonzero(a.imag) or \
             np.count_nonzero(a.real != np.rint(a.real)):
@@ -689,13 +689,8 @@ def spectral_flatness(f) -> float:
     so the value is the same in either order and for the elements as an
     ndarray, bit for bit.  |X| is taken, not |X|^2, so that entries up to
     the float range do not overflow."""
-    a = as_array(f)
-    if a.ndim != 1:
-        raise ArgumentError("spectral_flatness expects a 1-D sequence")
-    if isinstance(f, Sequence):
-        spec = np.abs(f._memoised("transform", lambda: _transform(a)))
-    else:
-        spec = np.abs(_transform(a))
+    a = _one_d(f, "spectral_flatness")
+    spec = np.abs(_kept(f, "transform", lambda: _transform(a)))
     top = float(spec.max())
     if top == 0:
         raise ArgumentError("spectral flatness is undefined for the zero "
@@ -708,9 +703,7 @@ def dual_cross_spectrum(f, padded_length: int | None = None) -> np.ndarray:
     whose inverse transform is the conjugate-free autocorrelation.  For a
     dual-canonical sequence every bin magnitude stays within 2*|f_1*f_N| of
     the dual peak |sum f_i^2|."""
-    a = as_array(f)
-    if a.ndim != 1:
-        raise ArgumentError("dual_cross_spectrum expects a 1-D sequence")
+    a = _one_d(f, "dual_cross_spectrum")
     if padded_length is None:
         padded_length = 2 * a.size - 1
     # The transform of reversed f is w^((N-1)k) X[-k mod L], w = e^(-2 pi i/L):

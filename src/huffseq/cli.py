@@ -7,7 +7,8 @@ de-blur round trip), and ``list`` (available families and fixtures; the same
 document as ``gen --list``).
 
 Exit codes: 0 success, 2 argument/input errors (including malformed or
-non-finite files and an unwritable ``--out``), 3 domain errors (a
+non-finite files, a ``--tol`` that is not positive and finite, and an
+unwritable ``--out``), 3 domain errors (a
 construction leaving its valid numeric domain, or a result that JSON cannot
 hold, such as an overflow to infinity).
 """
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    DEFAULT_TOL,
     ArgumentError,
     DomainError,
     Sequence,
@@ -382,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="comma list from: merit,flatness,peak")
     p_an.add_argument("--csv", action="store_true",
                       help="emit 'lag,re,im' rows instead of JSON")
-    p_an.add_argument("--tol", type=float, default=1e-9,
+    p_an.add_argument("--tol", type=float, default=DEFAULT_TOL,
                       help="relative tolerance for condition checks")
     p_an.set_defaults(func=_cmd_analyze)
 

@@ -158,13 +158,15 @@ def outer(f, g) -> np.ndarray:
 
 
 def dft(f, n: int | None = None) -> np.ndarray:
-    """Forward unnormalized DFT with optional zero-padding to length n."""
+    """Forward unnormalized DFT with optional zero-padding to length n, an
+    integer >= len(f)."""
     arr = as_array(f)
     if n is None:
         n = arr.size
-    if n < arr.size:
+    if not isinstance(n, (int, np.integer)) or n < arr.size:
         raise ArgumentError(
-            f"dft length {n} shorter than sequence length {arr.size}")
+            f"dft length must be an integer >= the sequence length "
+            f"{arr.size}, got {n!r}")
     return np.fft.fft(arr, n)
 
 
@@ -241,8 +243,8 @@ def from_json_obj(obj: dict):
             shape = tuple(int(d) for d in obj["shape"])
         except (TypeError, ValueError) as exc:
             raise ArgumentError(f"malformed shape field: {exc}") from exc
-        if math.prod(shape) != elements.size:
-            raise ArgumentError(
-                f"shape {shape} does not match {elements.size} elements")
+        if any(d < 0 for d in shape) or math.prod(shape) != elements.size:
+            raise ArgumentError(f"shape {shape} is not a shape of "
+                                f"{elements.size} elements")
         return elements.reshape(shape)
     return Sequence(elements, family=family, scale=sc)

@@ -79,11 +79,18 @@ def _require_real(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _require_finite(peak: complex) -> None:
+def _mask_autocorr(h, dual: bool) -> tuple:
+    """(grid k of the mask h, its full autocorrelation r, r at the zero
+    lag), conjugating unless ``dual``; a zero-lag value that is not finite
+    raises DomainError."""
+    k = _grid(h)
+    r = correlate(k, dual=True) if dual else nd_autocorr(k)
+    peak = complex(r[tuple(n - 1 for n in k.shape)])
     if not cmath.isfinite(peak):
         raise DomainError(f"mask's correlation peak (|peak| = {abs(peak)}) "
                           "is not finite: its entries are too large for "
                           "float64")
+    return k, r, peak
 
 
 def split_signs(h) -> MaskSet:
@@ -148,13 +155,8 @@ def blur(obj, h) -> np.ndarray:
     """Full linear (aperiodic) convolution of an object with a mask array;
     output shape is obj.shape + h.shape - 1 per axis, float64 for real
     operands and complex128 otherwise."""
-    o, k = _grid(obj), _grid(h)
-    if o.ndim != k.ndim:
-        raise ArgumentError(
-            f"object ({o.ndim}-D) and mask ({k.ndim}-D) must have the same "
-            "number of axes")
-    return np.asarray(_convolve(*_operands(o, k)),
-                      dtype=np.result_type(o, k))
+    o, k = _operands(obj, h)
+    return np.asarray(_convolve(o, k), dtype=np.result_type(o, k))
 
 
 def measure(obj, m: MaskSet) -> np.ndarray:
@@ -167,11 +169,10 @@ def measure(obj, m: MaskSet) -> np.ndarray:
 def delta_correlation_residual(h, dual: bool = False) -> tuple:
     """(peak, worst off-peak magnitude) of a mask's autocorrelation, in n-D:
     off-peak lags are those at no axis's extreme, apart from the center (see
-    :mod:`huffseq.analysis`); the worst is 0.0 when there are none."""
-    k = _grid(h)
-    peak, worst, _ = _offpeak(correlate(k, dual=dual),
-                              tuple(n - 1 for n in k.shape))
-    return peak, worst
+    :mod:`huffseq.analysis`); the worst is 0.0 when there are none.  A peak
+    that is not finite raises DomainError."""
+    k, r, peak = _mask_autocorr(h, dual)
+    return peak, _offpeak(r, tuple(n - 1 for n in k.shape))[1]
 
 
 def reconstruct(s_t, h, dual: bool = False) -> np.ndarray:
@@ -193,7 +194,6 @@ def reconstruct(s_t, h, dual: bool = False) -> np.ndarray:
         raise ArgumentError("measurement is smaller than the mask; it cannot "
                             "be a full blur of any object")
     peak, worst = delta_correlation_residual(k, dual=dual)
-    _require_finite(peak)
     if abs(peak) == 0:
         raise ArgumentError("mask has zero correlation peak; cannot "
                             "normalize the reconstruction")
@@ -231,14 +231,14 @@ def recon_error(obj, obj_hat) -> ReconError:
 
 def end_term_bound(h, obj_max: float = 1.0, dual: bool = False) -> float:
     """Worst-case reconstruction error from the mask's off-center
-    autocorrelation terms: (sum of off-center |r|) * obj_max / |peak|.  A
-    peak that is not finite raises DomainError."""
-    k = _grid(h)
-    r = correlate(k, dual=True) if dual else nd_autocorr(k)
-    center = tuple(n - 1 for n in k.shape)
-    peak = abs(complex(r[center]))
-    _require_finite(peak)
+    autocorrelation terms: (sum of off-center |r|) * obj_max / |peak|.
+    ``obj_max`` must be finite and >= 0.  A peak that is not finite raises
+    DomainError."""
+    obj_max = float(obj_max)
+    if not (math.isfinite(obj_max) and obj_max >= 0):
+        raise ArgumentError(f"obj_max must be finite and >= 0, got {obj_max}")
+    _, r, peak = _mask_autocorr(h, dual)
+    peak = abs(peak)
     if peak == 0:
         raise ArgumentError("mask has zero correlation peak")
-    total = float(np.abs(r).sum()) - peak
-    return total * float(obj_max) / peak
+    return (float(np.abs(r).sum()) - peak) * obj_max / peak

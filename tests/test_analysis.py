@@ -253,6 +253,13 @@ class TestIsCanonical:
             is_canonical([1, 2], tol=0)
 
     @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance(self, tol, dual):
+        # Against NaN every verdict would fail, against inf every one pass.
+        with pytest.raises(ArgumentError, match="positive and finite"):
+            is_canonical(fixtures("b13"), tol=tol, dual=dual)
+
+    @pytest.mark.parametrize("dual", [False, True])
     @pytest.mark.parametrize("f", [
         [3], [1, -2], [1, 1, 1, 1, 1], fixtures("b13"), gen_fibonacci(7, 1),
         [1 + 1j, 2, -1j, 3, 1], [2, -1j, 1 + 2j, 1j, -3, 1],
@@ -279,6 +286,11 @@ class TestIsPerfect:
     def test_tolerance_validation(self):
         with pytest.raises(ArgumentError):
             is_perfect([1, 2, 3], tol=-1)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance(self, tol):
+        with pytest.raises(ArgumentError, match="positive and finite"):
+            is_perfect(fixtures("b13"), tol=tol)
 
 
 class TestMeritFactor:
@@ -431,6 +443,11 @@ class TestSpectralFlatness:
 
 
 class TestDualCrossSpectrum:
+    @pytest.mark.parametrize("length", [13.0, 5])
+    def test_length_must_be_an_integer_of_at_least_n(self, length):
+        with pytest.raises(ArgumentError):
+            dual_cross_spectrum(gen_h_arb(6, 2), length)
+
     def test_inverse_transform_is_dual_autocorrelation(self):
         f = gen_h_arb(6, 2).elements
         spec = dual_cross_spectrum(f)

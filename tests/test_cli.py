@@ -216,6 +216,17 @@ class TestAnalyze:
         loose = run_json(capsys, "analyze", "--in", path, "--tol", "0.1")
         assert loose["canonical"] is True
 
+    @pytest.mark.parametrize("mode", [[], ["--dual"], ["--periodic"]])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_tol_not_positive_and_finite_exit_2(self, capsys, tmp_path, tol,
+                                                 mode):
+        path = write_seq(tmp_path, gen_fibonacci(7, 1))
+        code, out, err = run(capsys, "analyze", "--in", path, "--tol", tol,
+                             *mode)
+        assert code == 2
+        assert out == ""
+        assert "positive and finite" in err
+
     def test_csv_mode(self, capsys, tmp_path):
         path = write_seq(tmp_path, gen_fibonacci(7, 1))
         code, out, _ = run(capsys, "analyze", "--in", path, "--csv")
@@ -291,6 +302,19 @@ class TestAnalyze:
             "elements": [[1, 0], [2, 0]]}))
         code, _, err = run(capsys, "analyze", "--in", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("verb", ["analyze", "compose"])
+    def test_negative_shape_exit_2(self, capsys, tmp_path, verb):
+        # Its product matches the element count: only the signs are wrong.
+        bad = tmp_path / "shape.json"
+        bad.write_text(json.dumps({"elements": [[1, 0], [2, 0], [3, 0]],
+                                   "shape": [-1, -3]}))
+        argv = ["--in", str(bad)] if verb == "analyze" else \
+            ["--op", "outer", str(bad), str(bad)]
+        code, out, err = run(capsys, verb, *argv)
+        assert code == 2
+        assert out == ""
+        assert "shape (-1, -3)" in err
 
     def test_length_one_exit_2(self, capsys, tmp_path):
         one = tmp_path / "one.json"

@@ -137,6 +137,11 @@ class TestDft:
         with pytest.raises(ArgumentError):
             dft([1, 2, 3], 2)
 
+    @pytest.mark.parametrize("n", [13.0, 4.5, "13"])
+    def test_non_integer_length_rejected(self, n):
+        with pytest.raises(ArgumentError, match="integer"):
+            dft([1, 2, 3], n)
+
     def test_default_length_is_input_length(self):
         f = [1, 1j, -1]
         assert dft(f).shape == (3,)
@@ -200,6 +205,7 @@ class TestJsonInterchange:
         {"family": {"x": [1, 2]}, "elements": [[1.0, 0.0]]},
         {"family": 7, "elements": [[1.0, 0.0]]},
         {"family": None, "elements": [[1.0, 0.0]]},
+        {"elements": [[1, 0], [2, 0], [3, 0]], "shape": [-1, -3]},
     ])
     def test_malformed_payloads_rejected(self, payload):
         with pytest.raises(ArgumentError):

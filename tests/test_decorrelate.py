@@ -401,6 +401,15 @@ class TestNonFinitePeak:
             with pytest.raises(DomainError, match="not finite"):
                 end_term_bound(self.H)
 
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_delta_correlation_residual_raises_domain_error(self, dual):
+        # The peak reconstruct rejects, not an answer of inf and NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not finite"):
+                decorrelate.delta_correlation_residual(
+                    np.full((3, 3), 1e200), dual=dual)
+
 
 class TestEndTermBound:
     def test_one_d_values(self):
@@ -417,6 +426,12 @@ class TestEndTermBound:
         h = gen_fibonacci(7, 1).elements.real
         assert end_term_bound(h, obj_max=3.0) == \
             pytest.approx(3 * end_term_bound(h))
+
+    @pytest.mark.parametrize("obj_max", [math.nan, math.inf, -2.0])
+    def test_obj_max_must_be_finite_and_non_negative(self, obj_max):
+        # NaN, inf or a negative obj_max makes no bound.
+        with pytest.raises(ArgumentError, match="obj_max"):
+            end_term_bound(gen_fibonacci(7, 1).elements.real, obj_max=obj_max)
 
     def test_dual_value(self):
         h = harb_8()

@@ -157,6 +157,16 @@ class TestSumOfSquares:
         want = math.fsum(x * x for part in parts for x in part.tolist())
         assert abs(_sumsq(v) - want) <= 1e-15 * want
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(1, 5000) | st.sampled_from(
+        [_FOLDED - 1, _FOLDED, _FOLDED + 1, _FOLDED + 2,
+         _SHORT - 1, _SHORT, _SHORT + 1, _SHORT + 2]))
+    def test_real_sums_as_its_complex_cast(self, data, n):
+        # The route and its rounding follow the entry count, so zero
+        # imaginary parts change nothing: merit_factor needs no cast.
+        v = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+        assert _sumsq(v.astype(np.complex128)) == _sumsq(v)
+
     @pytest.mark.parametrize("n,value", [
         (3, 1e200), (1000, 1e153), (1000, 1e200)])
     def test_overflow_gives_inf_quietly(self, n, value):
