@@ -379,18 +379,24 @@ def _one_d(f, name: str, minimum: int = 1) -> np.ndarray:
 
 
 def _tolerance(tol: float) -> None:
-    """An ArgumentError unless tol is positive and finite (NaN is neither)."""
-    if not (tol > 0 and math.isfinite(tol)):
+    """An ArgumentError unless tol is a real number, positive and finite
+    (NaN is neither)."""
+    try:
+        ok = tol > 0 and math.isfinite(tol)
+    except TypeError:   # None, a string, a complex number
+        ok = False
+    if not ok:
         raise ArgumentError(f"tol must be positive and finite, got {tol!r}")
 
 
 def _fold(r: np.ndarray, shape: tuple) -> np.ndarray:
     """Periodic correlation from the aperiodic one: p_k = r_k + r_{k-N} for
-    k = 0..N-1 on every axis."""
+    k = 0..N-1 on every axis; inf - inf is NaN, quietly."""
     for ax, n in enumerate(shape):
         r = np.moveaxis(r, ax, 0)
         p = r[n - 1:].copy()
-        p[1:] += r[:n - 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            p[1:] += r[:n - 1]
         r = np.moveaxis(p, 0, ax)
     return r
 
@@ -702,7 +708,8 @@ def dual_cross_spectrum(f, padded_length: int | None = None) -> np.ndarray:
     """DFT(f) * DFT(reversed f), from the one transform DFT(f): the spectrum
     whose inverse transform is the conjugate-free autocorrelation.  For a
     dual-canonical sequence every bin magnitude stays within 2*|f_1*f_N| of
-    the dual peak |sum f_i^2|."""
+    the dual peak |sum f_i^2|.  Bins beyond the float range are inf or NaN,
+    quietly."""
     a = _one_d(f, "dual_cross_spectrum")
     if padded_length is None:
         padded_length = 2 * a.size - 1
@@ -712,4 +719,5 @@ def dual_cross_spectrum(f, padded_length: int | None = None) -> np.ndarray:
     k = np.arange(padded_length, dtype=np.int64)
     phase = np.exp(-2j * np.pi / padded_length * ((a.size - 1) * k
                                                   % padded_length))
-    return spec * _mirrored(spec) * phase
+    with np.errstate(over="ignore", invalid="ignore"):
+        return spec * _mirrored(spec) * phase

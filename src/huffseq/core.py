@@ -24,10 +24,6 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-# fib_poly coefficients grow roughly like s^n; beyond this index even modest
-# scales overflow float64, and exact-int callers never need more.
-FIB_INDEX_LIMIT = 64
-
 
 class ArgumentError(ValueError):
     """A caller-supplied value violates a documented precondition."""
@@ -42,29 +38,30 @@ def approx_equal(a: complex, b: complex, tol: float = DEFAULT_TOL) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+def _fib_run(m: int, s):
+    """Yield F_0 .. F_m of F_0 = 0, F_1 = 1, F_{k+1} = s*F_k + F_{k-1}, in
+    the arithmetic of s."""
+    prev, cur = 0 * s, 1 + 0 * s
+    for _ in range(m):
+        yield prev
+        prev, cur = cur, s * cur + prev
+    yield prev
+
+
 def fib_poly(n: int, s):
     """Fibonacci polynomial F_n evaluated at ``s``.
 
     F_0 = 0, F_1 = 1, F_{k+1} = s*F_k + F_{k-1}; negative indices via
-    F_{-k} = (-1)^{k+1} F_k.  Arithmetic stays in the type of ``s`` (Python
-    ints stay exact).  |n| is capped at FIB_INDEX_LIMIT.
+    F_{-k} = (-1)^{k+1} F_k.  Arithmetic stays in the type of ``s``: Python
+    ints stay exact at any index, and floats overflow to inf as float
+    arithmetic does.
     """
     if not isinstance(n, (int, np.integer)):
         raise ArgumentError(f"fib_poly index must be an integer, got {n!r}")
     n = int(n)
-    if abs(n) > FIB_INDEX_LIMIT:
-        raise DomainError(
-            f"fib_poly index {n} exceeds limit {FIB_INDEX_LIMIT}")
-    if n < 0:
-        k = -n
-        val = fib_poly(k, s)
-        return val if k % 2 == 1 else -val
-    if n == 0:
-        return 0 * s
-    prev, cur = 0 * s, 1 + 0 * s  # F_0, F_1 in the arithmetic of s
-    for _ in range(n - 1):
-        prev, cur = cur, s * cur + prev
-    return cur
+    for value in _fib_run(abs(n), s):
+        pass
+    return -value if n < 0 and n % 2 == 0 else value
 
 
 def _energy(arr: np.ndarray) -> float:

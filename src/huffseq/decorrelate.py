@@ -81,12 +81,17 @@ def _require_real(arr: np.ndarray, what: str) -> np.ndarray:
 
 def _mask_autocorr(h, dual: bool) -> tuple:
     """(grid k of the mask h, its full autocorrelation r, r at the zero
-    lag), conjugating unless ``dual``; a zero-lag value that is not finite
-    raises DomainError."""
+    lag), conjugating unless ``dual``.  A zero-lag value that is not finite
+    raises ArgumentError naming a non-finite entry of the mask, if it holds
+    one, and DomainError otherwise."""
     k = _grid(h)
     r = correlate(k, dual=True) if dual else nd_autocorr(k)
     peak = complex(r[tuple(n - 1 for n in k.shape)])
     if not cmath.isfinite(peak):
+        bad = np.argwhere(~np.isfinite(k))
+        if bad.size:
+            at = tuple(int(i) for i in bad[0])
+            raise ArgumentError(f"mask entry {at} is {k[at]}, not finite")
         raise DomainError(f"mask's correlation peak (|peak| = {abs(peak)}) "
                           "is not finite: its entries are too large for "
                           "float64")
@@ -232,9 +237,13 @@ def recon_error(obj, obj_hat) -> ReconError:
 def end_term_bound(h, obj_max: float = 1.0, dual: bool = False) -> float:
     """Worst-case reconstruction error from the mask's off-center
     autocorrelation terms: (sum of off-center |r|) * obj_max / |peak|.
-    ``obj_max`` must be finite and >= 0.  A peak that is not finite raises
-    DomainError."""
-    obj_max = float(obj_max)
+    ``obj_max`` must be a real number, finite and >= 0.  A peak that is not
+    finite raises DomainError."""
+    try:
+        obj_max = float(obj_max)
+    except (TypeError, ValueError) as exc:   # None, a complex number, "x"
+        raise ArgumentError(f"obj_max must be a real number, got "
+                            f"{obj_max!r}") from exc
     if not (math.isfinite(obj_max) and obj_max >= 0):
         raise ArgumentError(f"obj_max must be finite and >= 0, got {obj_max}")
     _, r, peak = _mask_autocorr(h, dual)

@@ -37,8 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import (FIB_INDEX_LIMIT, ArgumentError, DomainError, Sequence,
-                   fib_poly)
+from .core import ArgumentError, DomainError, Sequence, _fib_run
 
 
 def _sqrt(x):
@@ -83,6 +82,14 @@ def _check_scale(s, family: str, excluded=(0,)):
 _LOG_MAX = math.log(sys.float_info.max)
 
 
+def _check_float_range(worst: float, family: str) -> None:
+    """DomainError when ``worst``, a bound on every element's |log|, is
+    above _LOG_MAX."""
+    if worst > _LOG_MAX:
+        raise DomainError(f"{family} leaves the float range at this N and s: "
+                          f"element |log| bound {worst:.0f} > {_LOG_MAX:.1f}")
+
+
 def _powers(t, first: int, last: int, family: str, c=1):
     """c * t**k for k = first, first +- 1, ..., last: float64 for a real t,
     complex128 for a complex t through the polar form
@@ -94,11 +101,8 @@ def _powers(t, first: int, last: int, family: str, c=1):
     """
     r, theta = cmath.polar(t)
     log_t, log_c = math.log(r), math.log(abs(c))
-    worst = max(abs(log_c + first * log_t), abs(log_c + last * log_t))
-    if worst > _LOG_MAX:
-        raise DomainError(f"{family} leaves the float range at this N and s: "
-                          f"an element would have |log| {worst:.0f} > "
-                          f"{_LOG_MAX:.1f}")
+    _check_float_range(max(abs(log_c + first * log_t),
+                           abs(log_c + last * log_t)), family)
     step = 1 if last >= first else -1
     k = np.arange(first, last + step, step, dtype=np.float64)
     if isinstance(t, complex):
@@ -132,20 +136,19 @@ def _check_length(N, family: str, *, minimum: int, mod4=None, odd=False):
 
 def _fib_parts(N, s, family: str, *, minimum: int, mod4: int, sign=1):
     """Checked s and the parts of the Fibonacci layouts, M = (N-3)/2: the
-    head 2sF_1 .. 2sF_M, the centre sF_{M+1} - 2F_M and the mirrored half
-    sign*2sF_{-M} .. sign*2sF_{-1}."""
+    head 2sF_0 .. 2sF_M, the centre sF_{M+1} - 2F_M and the mirrored half
+    sign*2sF_{-M} .. sign*2sF_{-1}.  An integer s recurs in exact ints, so
+    DomainError first when phi^M sqrt(s^2 + 4), phi = e^asinh(|s|/2), which
+    bounds every element (|F_k(s)| <= phi^(k-1)), leaves the float range;
+    other scales overflow to inf, which :func:`generate` reports."""
     N = _check_length(N, family, minimum=minimum, mod4=mod4)
     s = _check_scale(s, family)
     M = (N - 3) // 2
-    if M >= FIB_INDEX_LIMIT:   # as fib_poly raises for the first index past
-        raise DomainError(f"fib_poly index {FIB_INDEX_LIMIT + 1} exceeds "
-                          f"limit {FIB_INDEX_LIMIT}")
-    # F_0 .. F_{M+1} by fib_poly's recurrence, in one pass, and
-    # F_{-k} = (-1)^{k+1} F_k: the same operations as fib_poly(k, s) each.
-    F = [0 * s, 1 + 0 * s]
-    for _ in range(M):
-        F.append(s * F[-1] + F[-2])
-    head = [2 * s * f for f in F[1:M + 1]]
+    if isinstance(s, int):   # 1e-12 covers the rounding of the bound's log
+        _check_float_range(M * math.asinh(abs(s) / 2)
+                           + math.log(s * s + 4) / 2 + 1e-12, family)
+    F = list(_fib_run(M + 1, s))
+    head = [2 * s * f for f in F[:M + 1]]
     centre = s * F[M + 1] - 2 * F[M]
     mirror = [sign * 2 * s * (F[k] if k % 2 else -F[k])
               for k in range(M, 0, -1)]
@@ -156,10 +159,11 @@ def gen_fibonacci(N: int, s) -> Sequence:
     """Canonical sequence of length N = 4n+3 built from Fibonacci polynomials.
 
     Layout: [1, 2sF_1 .. 2sF_M, sF_{M+1} - 2F_M, 2sF_{-M} .. 2sF_{-1}, -1]
-    with M = (N-3)/2.  Integer s gives exactly integer elements.
+    with M = (N-3)/2.  An integer s gives the correctly rounded elements
+    of an exact Python-int recurrence.
     """
     s, head, centre, mirror = _fib_parts(N, s, "fib", minimum=7, mod4=3)
-    return Sequence([1, *head, centre, *mirror, -1], family="fib", scale=s)
+    return Sequence([1, *head[1:], centre, *mirror, -1], family="fib", scale=s)
 
 
 def gen_h_plus(N: int, s) -> Sequence:
@@ -169,7 +173,8 @@ def gen_h_plus(N: int, s) -> Sequence:
     """
     s, head, centre, mirror = _fib_parts(N, s, "hplus", minimum=5, mod4=1,
                                          sign=-1)
-    return Sequence([1, *head, centre, *mirror, 1], family="hplus", scale=s)
+    return Sequence([1, *head[1:], centre, *mirror, 1], family="hplus",
+                    scale=s)
 
 
 def gen_perfect_fib(N: int, s) -> Sequence:
@@ -181,8 +186,7 @@ def gen_perfect_fib(N: int, s) -> Sequence:
     """
     s, head, centre, mirror = _fib_parts(N, s, "perfect_fib", minimum=7,
                                          mod4=3)
-    return Sequence([centre, *mirror, 2 * s * fib_poly(0, s), *head],
-                    family="perfect_fib", scale=s)
+    return Sequence([centre, *mirror, *head], family="perfect_fib", scale=s)
 
 
 def gen_h9a(s) -> Sequence:
@@ -345,9 +349,9 @@ def gen_he4(s) -> Sequence:
 def gen_he6(s) -> Sequence:
     """Even-length (6) canonical sequence with nested-radical helpers.
 
-    Real s must keep the helper X(s) >= 0 and Z(s) != 0.  Analytically X
-    stays positive for real s (it decays like 18/s^2 for large |s|), but the
-    guard still fires where cancellation noise drives the evaluated X
+    Real s must keep the helper X(s) >= 0 and Z(s), u(s) != 0.  Analytically
+    X stays positive for real s (it decays like 18/s^2 for large |s|), but
+    the guard still fires where cancellation noise drives the evaluated X
     negative, so very large |s| can be rejected.
     """
     s = _check_scale(s, "he6")
@@ -367,6 +371,8 @@ def gen_he6(s) -> Sequence:
     # the lag-1 condition then holds automatically.  d equals s*(Z-4)/4, so
     # c is recovered from it without the rational form's removable pole.
     u = (3 * s + s ** 3 + W) / 2
+    if u == 0:   # for large negative s, 3s + s^3 cancels W in rounding
+        raise DomainError(f"he6 helper u(s) vanishes at s={s}")
     d = s * (Z - 4) / 4
     c = s * s + d / u
     e = s * u
@@ -532,7 +538,8 @@ FAMILY_INFO = {
     "he4": (gen_he4, False, True,
             "length-4 canonical sequence; s != 0"),
     "he6": (gen_he6, False, True,
-            "length-6 canonical sequence; s != 0 with X(s) >= 0, Z(s) != 0"),
+            "length-6 canonical sequence; s != 0 with X(s) >= 0, Z(s) != 0, "
+            "u(s) != 0"),
     "harb": (gen_h_arb, True, True,
              "arbitrary-length canonical sequence; N >= 3, s outside {0,1}"),
     "htan": (gen_h_tan, True, True,

@@ -259,6 +259,11 @@ class TestIsCanonical:
         with pytest.raises(ArgumentError, match="positive and finite"):
             is_canonical(fixtures("b13"), tol=tol, dual=dual)
 
+    @pytest.mark.parametrize("tol", ["1e-9", None, 1j])
+    def test_non_numeric_tolerance(self, tol):
+        with pytest.raises(ArgumentError, match="positive and finite"):
+            is_canonical([1, 2, 3], tol=tol)
+
     @pytest.mark.parametrize("dual", [False, True])
     @pytest.mark.parametrize("f", [
         [3], [1, -2], [1, 1, 1, 1, 1], fixtures("b13"), gen_fibonacci(7, 1),
@@ -291,6 +296,19 @@ class TestIsPerfect:
     def test_non_finite_tolerance(self, tol):
         with pytest.raises(ArgumentError, match="positive and finite"):
             is_perfect(fixtures("b13"), tol=tol)
+
+    @pytest.mark.parametrize("tol", ["1e-9", None, 1j])
+    def test_non_numeric_tolerance(self, tol):
+        with pytest.raises(ArgumentError, match="positive and finite"):
+            is_perfect(gen_perfect_fib(11, 1), tol=tol)
+
+    def test_overflowing_fold_is_quietly_not_perfect(self):
+        # Lags near the float range fold as inf - inf: NaN, not a warning.
+        f = gen_perfect_fib(63, 1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_perfect(f)
+            assert not np.isfinite(periodic_autocorr(f).values).all()
 
 
 class TestMeritFactor:
@@ -443,6 +461,12 @@ class TestSpectralFlatness:
 
 
 class TestDualCrossSpectrum:
+    def test_overflow_is_quietly_not_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = dual_cross_spectrum(np.full(3, 1e200))
+        assert not np.isfinite(spec).any()
+
     @pytest.mark.parametrize("length", [13.0, 5])
     def test_length_must_be_an_integer_of_at_least_n(self, length):
         with pytest.raises(ArgumentError):

@@ -99,11 +99,18 @@ class TestGen:
                            "--s", "1,2,3")
         assert code == 2
 
-    def test_index_limit_exit_3(self, capsys):
-        code, _, err = run(capsys, "gen", "--family", "fib", "--n", "135",
-                           "--s", "1")
+    def test_int_scale_out_of_float_range_exit_3(self, capsys):
+        code, out, err = run(capsys, "gen", "--family", "fib", "--n", "131",
+                             "--s", "1000000000000")
         assert code == 3
-        assert "domain error" in err
+        assert out == ""
+        assert "domain error" in err and "float range" in err
+
+    def test_fibonacci_past_length_127(self, capsys):
+        code, out, _ = run(capsys, "gen", "--family", "fib", "--n", "1003",
+                           "--s", "0.5")
+        assert code == 0
+        assert len(json.loads(out)["elements"]) == 1003
 
     @pytest.mark.parametrize("scale", ["inf", "-inf", "nan", "1,inf",
                                        "nan,0"])

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from huffseq import (
     ArgumentError,
-    DomainError,
     Sequence,
     approx_equal,
     as_array,
@@ -59,11 +58,12 @@ class TestFibPoly:
     def test_complex_scale(self):
         assert fib_poly(3, 2j) == (2j) ** 2 + 1
 
-    def test_index_guard_is_domain_error(self):
-        with pytest.raises(DomainError):
-            fib_poly(65, 1)
-        with pytest.raises(DomainError):
-            fib_poly(-65, 1)
+    def test_index_past_64(self):
+        # No index cap: Python ints stay exact, floats overflow to inf.
+        assert fib_poly(65, 1) == 17167680177565
+        assert fib_poly(-65, 1) == 17167680177565
+        assert fib_poly(-66, 1) == -fib_poly(66, 1) == -27777890035288
+        assert fib_poly(2000, 1.5) == math.inf
 
     def test_non_integer_index_rejected(self):
         with pytest.raises(ArgumentError):

@@ -411,6 +411,30 @@ class TestNonFinitePeak:
                     np.full((3, 3), 1e200), dual=dual)
 
 
+class TestNonFiniteMask:
+    """A mask holding NaN or inf is the caller's error, named by entry; a
+    finite mask whose peak overflows stays a DomainError (above)."""
+
+    @pytest.mark.parametrize("call", [
+        lambda h: reconstruct(np.ones((5,) * h.ndim), h),
+        lambda h: end_term_bound(h),
+        lambda h: decorrelate.delta_correlation_residual(h),
+        lambda h: decorrelate.delta_correlation_residual(h, dual=True)],
+        ids=["reconstruct", "end_term_bound", "residual", "residual_dual"])
+    @pytest.mark.parametrize("h,at,text", [
+        (np.array([1.0, math.nan]), "(1,)", "nan"),
+        (np.array([[1.0, 2.0], [-math.inf, 1.0]]), "(1, 0)", "-inf"),
+        (np.array([1, complex(2, math.nan), 3]), "(1,)", "nan")],
+        ids=["nan", "inf_2d", "complex_nan"])
+    def test_argument_error_names_the_entry(self, call, h, at, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError) as info:
+                call(h)
+        assert f"mask entry {at} is " in str(info.value)
+        assert text in str(info.value)
+
+
 class TestEndTermBound:
     def test_one_d_values(self):
         assert end_term_bound(gen_fibonacci(7, 1).elements.real) == \
@@ -427,9 +451,10 @@ class TestEndTermBound:
         assert end_term_bound(h, obj_max=3.0) == \
             pytest.approx(3 * end_term_bound(h))
 
-    @pytest.mark.parametrize("obj_max", [math.nan, math.inf, -2.0])
+    @pytest.mark.parametrize("obj_max", [math.nan, math.inf, -2.0, None,
+                                         "x", 1j])
     def test_obj_max_must_be_finite_and_non_negative(self, obj_max):
-        # NaN, inf or a negative obj_max makes no bound.
+        # NaN, inf, a negative obj_max or no real number makes no bound.
         with pytest.raises(ArgumentError, match="obj_max"):
             end_term_bound(gen_fibonacci(7, 1).elements.real, obj_max=obj_max)
 

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from huffseq import (
     FAMILY_INFO,
@@ -395,13 +397,34 @@ def _fib_layout(N, s, sign):
     return head, centre, mirror
 
 
+def _assert_fibonacci_checks(seq):
+    """The defining check of a Fibonacci family's output, against an
+    independent numpy correlation: canonical (fib), perfect (perfect_fib),
+    or five non-zero lags 0, +-(N-1)/2, +-(N-1) (hplus); conjugate-free
+    for a complex scale."""
+    a = seq.elements
+    assert np.isfinite(a).all()
+    dual = seq.scale.imag != 0
+    energy = float(np.sum(np.abs(a) ** 2))
+    if seq.family == "perfect_fib":
+        assert _periodic_offpeak(a, dual) <= 1e-9 * energy
+        return
+    r = np.abs(np.convolve(a, a[::-1] if dual else a[::-1].conj()))
+    n = a.size
+    keep = [0, n - 1, 2 * n - 2]
+    if seq.family == "hplus":
+        keep += [(n - 1) // 2, 3 * (n - 1) // 2]
+    r[keep] = 0
+    assert r.max() <= 1e-9 * energy
+
+
 class TestFibonacciTable:
     """The Fibonacci families take F_0 .. F_{M+1} from one recurrence pass;
     their elements stay bit for bit those of one fib_poly call each."""
 
     @pytest.mark.parametrize("s", [1, -3, 2, 1.3, -0.7, 1e-3, 1.5 - 0.5j,
                                    2j, complex(0.3, 1.1)])
-    @pytest.mark.parametrize("N", [7, 11, 31, 127])
+    @pytest.mark.parametrize("N", [7, 11, 31, 127, 1003])
     def test_same_elements_as_fib_poly(self, N, s):
         head, centre, mirror = _fib_layout(N, s, 1)
         want = np.array([1, *head, centre, *mirror, -1], dtype=np.complex128)
@@ -416,16 +439,71 @@ class TestFibonacciTable:
     @pytest.mark.parametrize("maker,N", [
         (gen_fibonacci, 131), (gen_fibonacci, 1003), (gen_perfect_fib, 131),
         (gen_h_plus, 133), (gen_h_plus, 1001)])
-    def test_past_the_index_limit(self, maker, N):
-        # fib_poly's own error, at the first index past its limit.
-        with pytest.raises(DomainError,
-                           match="fib_poly index 65 exceeds limit 64"):
-            maker(N, 1)
+    def test_past_the_old_index_limit(self, maker, N):
+        # The lengths an index cap of 64 refused, at the scale it refused
+        # them at, now generate and pass their defining checks.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_fibonacci_checks(maker(N, 1))
 
     def test_last_lengths_inside_the_limit(self):
         for maker, N in ((gen_fibonacci, 127), (gen_perfect_fib, 127),
                          (gen_h_plus, 129)):
             assert np.all(np.isfinite(maker(N, 1.01).elements))
+
+    @pytest.mark.parametrize("maker,N,s", [
+        (gen_fibonacci, 1003, 0.1), (gen_fibonacci, 1003, 0.5),
+        (gen_fibonacci, 1003, 1), (gen_fibonacci, 1003, 0.3 + 0.2j),
+        (gen_fibonacci, 4095, 0.1), (gen_fibonacci, 16383, 0.02),
+        (gen_perfect_fib, 1003, 0.5), (gen_perfect_fib, 4095, 0.1),
+        (gen_perfect_fib, 1003, 0.3 + 0.2j),
+        (gen_h_plus, 1001, 1.0), (gen_h_plus, 4093, 0.1),
+        (gen_h_plus, 1001, 0.3 + 0.2j)])
+    def test_long_lengths_pass_their_checks(self, maker, N, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_fibonacci_checks(maker(N, s))
+
+    @pytest.mark.parametrize("maker,s,last", [
+        (gen_fibonacci, 1, 2947), (gen_fibonacci, 3, 1187),
+        (gen_fibonacci, -3, 1187), (gen_perfect_fib, 1, 2947),
+        (gen_perfect_fib, 3, 1187), (gen_h_plus, 1, 2949),
+        (gen_h_plus, 3, 1189)])
+    def test_integer_scale_range_edge(self, maker, s, last):
+        # An integer scale recurs in exact ints; the bound on its elements
+        # admits the last length with every element in the float range and
+        # refuses the next one before the recurrence.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = np.abs(maker(last, s).elements).max()
+            assert np.isfinite(top) and top > 1e306
+            with pytest.raises(DomainError, match="float range"):
+                maker(last + 4, s)
+
+
+class TestFibonacciSweep:
+    """fib, hplus and perfect_fib at every length up to about 2047 and
+    scales log-uniform over 1e-12..1e12: a finite output or a typed error,
+    never another exception or a numpy warning."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["fib", "hplus", "perfect_fib"]),
+           st.integers(1, 31) | st.integers(32, 511),
+           st.sampled_from(["int", "float", "complex"]),
+           st.floats(-12, 12), st.floats(-math.pi, math.pi))
+    def test_finite_or_typed_error(self, family, n, kind, exponent, angle):
+        N = 4 * n + (1 if family == "hplus" else 3)
+        magnitude = 10.0 ** exponent
+        s = {"int": round(magnitude) * (1 if angle >= 0 else -1),
+             "float": math.copysign(magnitude, angle),
+             "complex": cmath.rect(magnitude, angle)}[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                seq = generate(family, n=N, s=s)
+            except (ArgumentError, DomainError):
+                return
+        assert np.isfinite(seq.elements).all()
 
 
 class TestArgumentValidation:
@@ -478,9 +556,18 @@ class TestArgumentValidation:
         with pytest.raises(ArgumentError):
             gen_h11(None)
 
-    def test_fibonacci_index_limit_is_domain_error(self):
-        with pytest.raises(DomainError):
-            gen_fibonacci(135, 1)
+    @pytest.mark.parametrize("N,s", [(131, 10 ** 12), (1003, 10 ** 6),
+                                     (100003, 10 ** 6), (100003, -2)])
+    def test_fibonacci_int_scale_out_of_range_is_domain_error(self, N, s):
+        # Refused before the recurrence builds ints of up to ~300000 digits.
+        with pytest.raises(DomainError, match="float range"):
+            gen_fibonacci(N, s)
+
+    @pytest.mark.parametrize("s", [-302630, -884809, -24095293.739279464])
+    def test_he6_vanishing_u_is_domain_error(self, s):
+        # u = (3s + s^3 + W)/2 cancels to 0 here, and c divides by it.
+        with pytest.raises(DomainError, match="u\\(s\\) vanishes"):
+            gen_he6(s)
 
     def test_perfect_arb_minimum_length(self):
         with pytest.raises(ArgumentError):
