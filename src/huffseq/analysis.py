@@ -25,11 +25,17 @@ takes, on the grid of L = _fast_len(2N-1) bins: both senses share it, so a
 dual check after the conjugating one takes an inverse transform only, and
 :func:`spectral_flatness` reads |X| from it.  Any other input to the
 flatness takes that transform once, on the same grid.
+
+A product of two different operands on the FFT path is formed and inverted
+in one spectrum buffer, the larger operand's: a correlation is conj(X) Y or
+X(-w) Y, so x is reversed only on the summation paths, and the last axis
+is inverted only for the lags the caller keeps (see :func:`_fft_convolve`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,31 +89,55 @@ def _mirrored(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _lags(z: np.ndarray, shape, hermitian: bool = False) -> np.ndarray:
-    """The lags -(n-1) .. n-1 of a cyclic autocorrelation z on every axis
-    (n from ``shape``), zero lag at index n-1: the last n-1 entries of each
-    axis, then its first n.  A ``hermitian`` z holds only lags 0 .. L//2 of
-    the last axis: the negative ones are the conjugates of the positive
-    ones mirrored through the zero lag, r_-k = conj(r_k)."""
-    lead = z.ndim - 1 if hermitian else z.ndim
-    for ax in range(lead):
-        head, n = (slice(None),) * ax, shape[ax]
-        z = np.concatenate([z[head + (slice(z.shape[ax] - n + 1, None),)],
-                            z[head + (slice(n),)]], axis=ax)
+def _pieces(span: range, n: int) -> list:
+    """(destination, source) slice pairs that copy the cyclic positions
+    ``span`` of an axis of length n, a negative position counting back from
+    the end of the axis; a span that starts below 0 ends above it."""
+    lo, hi = span.start, span.stop
+    if lo >= 0:
+        return [(slice(0, hi - lo), slice(lo, hi))]
+    return [(slice(0, -lo), slice(n + lo, n)), (slice(-lo, hi - lo),
+                                                slice(0, hi))]
+
+
+def _lags(z: np.ndarray, spans, hermitian: bool = False) -> np.ndarray:
+    """z at the cyclic positions ``spans``, one range per axis (None keeps
+    the whole axis), a negative position counting back from the end of its
+    axis: lags -(m-1) .. n-1 of a cyclic correlation are
+    range(-(m-1), n).  One gather: a view of z when no span reaches back
+    past position 0, else one fresh array filled block by block.
+
+    A ``hermitian`` z holds only lags 0 .. L//2 of the last axis, whose
+    span is -(n-1) .. n-1: the negative ones are the conjugates of the
+    positive ones mirrored through the zero lag, r_-k = conj(r_k) (the
+    other spans must be symmetric too)."""
     if hermitian:
-        n = shape[-1]
+        spans, last = list(spans[:-1]) + [None], spans[-1]
+    blocks = [[(slice(None), slice(None))] if r is None else _pieces(r, n)
+              for r, n in zip(spans, z.shape)]
+    if all(len(b) == 1 for b in blocks):
+        z = z[tuple(src for ((_, src),) in blocks)]
+    else:
+        out = np.empty([n if r is None else len(r)
+                        for r, n in zip(spans, z.shape)], dtype=z.dtype)
+        for block in itertools.product(*blocks):
+            out[tuple(dst for dst, _ in block)] = \
+                z[tuple(src for _, src in block)]
+        z = out
+    if hermitian:
+        n = last.stop
         z = z[..., :n]
-        back = z[(slice(None, None, -1),) * lead + (slice(n - 1, 0, -1),)]
+        back = z[(slice(None, None, -1),) * (z.ndim - 1)
+                 + (slice(n - 1, 0, -1),)]
         z = np.concatenate([back.conj(), z], axis=-1)
     return z
 
 
-def _fft_convolve(x, y, length, real: bool, dual: bool = False,
+def _fft_autocorr(x, length, real: bool, dual: bool = False,
                   memo=None) -> np.ndarray:
-    """Full linear convolution by a zero-padded FFT over every axis, each
-    axis padded to ``length(full extent)``.  With ``y`` None it is instead
-    the autocorrelation of x (conjugating unless ``dual``) from the one
-    forward transform X of x, its lags gathered by :func:`_lags`:
+    """The full autocorrelation of x (conjugating unless ``dual``), each
+    axis zero-padded to ``length(2n-1)``, from the one forward transform X
+    of x, its lags gathered by :func:`_lags`:
 
     * dual, complex x: the inverse transform of X(w) X(-w), X(-w) sliced
       from X by :func:`_mirrored`;
@@ -120,9 +150,9 @@ def _fft_convolve(x, y, length, real: bool, dual: bool = False,
     returns X: a Sequence's memo, which keeps X for both senses and
     :func:`spectral_flatness`.  Entries near the float range may overflow
     to inf or NaN, quietly."""
-    full = _full_shape(x, x if y is None else y)
-    s = [length(n) for n in full]
+    s = [length(2 * n - 1) for n in x.shape]
     axes = tuple(range(x.ndim))
+    spans = [range(1 - n, n) for n in x.shape]
     if real:
         fwd, inv = np.fft.rfftn, np.fft.irfftn
     else:
@@ -132,9 +162,6 @@ def _fft_convolve(x, y, length, real: bool, dual: bool = False,
             memo(lambda: fwd(x, s, axes))
         # Each product replaces X, so that it is let go before the inverse
         # (a Sequence's memo keeps its own reference).
-        if y is not None:
-            spec = spec * fwd(y, s, axes)
-            return inv(spec, s, axes)[tuple(slice(n) for n in full)]
         if real:   # for a real x, X(-w) is conj X(w)
             spec = spec * spec.conj()
         elif dual:
@@ -144,8 +171,71 @@ def _fft_convolve(x, y, length, real: bool, dual: bool = False,
             z = np.fft.ihfft(spec, axis=-1)
             for ax in axes[:-1]:
                 z = np.fft.ifft(z, axis=ax)
-            return _lags(z, x.shape, hermitian=True)
-        return _lags(inv(spec, s, axes), x.shape)
+            return _lags(z, spans, hermitian=True)
+        return _lags(inv(spec, s, axes), spans)
+
+
+def _spectrum(v: np.ndarray, s: list, real: bool) -> np.ndarray:
+    """The transform of v zero-padded to the grid ``s`` (the real one of
+    the last axis when ``real``), in one fresh buffer: the last axis by
+    ``out=`` into only the rows v occupies, then every other axis in place,
+    over the extent v occupies on the axes before it.  The buffer is
+    np.empty with only its padding zeroed: np.zeros (calloc) gave each
+    buffer fresh pages, about 1000 more page faults per 512^2 deblur round
+    trip."""
+    spec = np.empty(s[:-1] + [s[-1] // 2 + 1 if real else s[-1]],
+                    dtype=np.complex128)
+    (np.fft.rfft if real else np.fft.fft)(
+        v, s[-1], out=spec[tuple(slice(n) for n in v.shape[:-1])])
+    for ax in reversed(range(v.ndim - 1)):
+        part = spec[tuple(slice(n) for n in v.shape[:ax])]
+        part[(slice(None),) * ax + (slice(v.shape[ax], None),)] = 0
+        np.fft.fft(part, axis=ax, out=part)
+    return spec
+
+
+def _fft_convolve(x, y, length, real: bool, flip: bool = False,
+                  dual: bool = False, keep=None) -> np.ndarray:
+    """Full linear convolution of x and y by a zero-padded FFT over every
+    axis, each axis padded to ``length(full extent)``; with ``flip`` the
+    correlation of x against y instead, from conj(X) Y (conjugating) or
+    X(-w) Y (``dual``, X(-w) sliced by :func:`_mirrored`), with no reversed
+    copy of x.  ``keep`` (slices of the full result) is the part returned.
+
+    Each operand is transformed into its own buffer by :func:`_spectrum`,
+    and the product is formed in the larger operand's.  The inverse runs in
+    place on every axis but the last, and the last axis is inverted only
+    for the rows kept, into the smaller operand's buffer.  Entries near the
+    float range may overflow to inf or NaN, quietly."""
+    full = _full_shape(x, y)
+    s = [length(n) for n in full]
+    # The kept part as cyclic positions: a correlation's index j is its
+    # lag j - (m-1), m the extent of x, and a lag -k sits at position L-k.
+    keep = keep or (slice(None),) * x.ndim
+    spans = [range(n)[k] for n, k in zip(full, keep)]
+    if flip:
+        spans = [range(r.start + 1 - m, r.stop + 1 - m)
+                 for r, m in zip(spans, x.shape)]
+    own, other = (x, y) if x.size >= y.size else (y, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec, factor = _spectrum(own, s, real), _spectrum(other, s, real)
+        if flip:
+            turned = spec if own is x else factor
+            if dual:
+                turned[...] = _mirrored(turned)
+            else:
+                np.conjugate(turned, out=turned)
+        spec *= factor
+        for ax in range(x.ndim - 1):
+            np.fft.ifft(spec, axis=ax, out=spec)
+        spec = _lags(spec, spans[:-1] + [None])   # lets go of a full copy
+        # The factor's memory has room for the result: fresh pages would
+        # each cost a fault.
+        shape = spec.shape[:-1] + (s[-1],)
+        z = factor.reshape(-1).view(np.float64 if real else np.complex128)
+        z = z[:math.prod(shape)].reshape(shape)
+        (np.fft.irfft if real else np.fft.ifft)(spec, s[-1], out=z)
+        return _lags(z, [None] * (x.ndim - 1) + spans[-1:])
 
 
 def _sumsq(v: np.ndarray) -> float:
@@ -292,34 +382,41 @@ def _kronecker(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _convolve(x: np.ndarray, y: np.ndarray, flip: bool = False,
-              dual: bool = False, memo=None) -> np.ndarray:
+              dual: bool = False, memo=None, keep=None) -> np.ndarray:
     """Full linear convolution of two arrays of equal rank by the method
-    :func:`_method` picks, or with ``flip`` the correlation of x against y:
-    x reversed on every axis, and conjugated unless ``dual``, first.  The
-    pick comes before the reversal, which changes nothing it reads, so an
-    autocorrelation's one operand is both x and y, and the FFT methods
-    transform it once.  On the 'rfft' and 'fft' paths of an autocorrelation
-    that forward transform X, the one :func:`_transform` takes, goes
-    through ``memo`` (see :func:`_fft_convolve`); no other path calls
-    it.  The exact methods return int64 or Python-int (object) arrays
-    holding the exact integer result."""
+    :func:`_method` picks, or with ``flip`` the correlation of x against y;
+    ``keep`` (slices of the full result) is the part returned.  On the FFT
+    paths a correlation comes from x's own transform (see
+    :func:`_fft_convolve`), and an autocorrelation, whose one operand is
+    both x and y, transforms it once (:func:`_fft_autocorr`); on the 'rfft'
+    and 'fft' paths of an autocorrelation that forward transform X, the one
+    :func:`_transform` takes, goes through ``memo``, which no other path
+    calls.  The summation paths ('direct', 'int64', 'pyint') reverse x on
+    every axis, and conjugate it unless ``dual``, after the pick, which the
+    reversal would not change.  The exact methods return int64 or
+    Python-int (object) arrays holding the exact integer result."""
     method = _method(x, y)
-    if flip and y is x and method in ("rfft", "fft", "fft_round"):
-        y = None
-    elif flip:
+    if method in ("rfft", "fft", "fft_round"):
+        length = _pow2_len if method == "fft_round" else _fast_len
+        real = method != "fft"
+        if flip and y is x:
+            z = _fft_autocorr(x, length, real, dual,
+                              None if method == "fft_round" else memo)
+            z = z if keep is None else z[keep]
+        else:
+            z = _fft_convolve(x, y, length, real, flip, dual, keep)
+        return np.rint(z).astype(np.int64) if method == "fft_round" else z
+    if flip:
         x = x[(slice(None, None, -1),) * x.ndim]
         if not dual and x.dtype.kind == "c":
             x = x.conj()
     if method == "direct":
-        return np.convolve(x, y)
-    if method in ("rfft", "fft"):
-        return _fft_convolve(x, y, _fast_len, method == "rfft", dual,
-                             memo)
-    if method == "pyint":
-        return _kronecker(x, y)
-    if method == "int64":
-        return _direct(x.astype(np.int64), y.astype(np.int64))
-    return np.rint(_fft_convolve(x, y, _pow2_len, True)).astype(np.int64)
+        z = np.convolve(x, y)
+    elif method == "pyint":
+        z = _kronecker(x, y)
+    else:
+        z = _direct(x.astype(np.int64), y.astype(np.int64))
+    return z if keep is None else z[keep]
 
 
 def _real(x: np.ndarray) -> np.ndarray:
@@ -409,15 +506,16 @@ def convolve(a, b) -> np.ndarray:
     return np.asarray(_convolve(x, y), dtype=np.complex128)
 
 
-def _correlation(a, b, dual: bool, periodic: bool = False) -> tuple:
+def _correlation(a, b, dual: bool, periodic: bool = False,
+                 keep=None) -> tuple:
     """The operands of correlate(a, b) and the raw :func:`_convolve` result
-    of their aperiodic correlation.  An operand b with the same values as a
-    makes an autocorrelation.  A Sequence correlated with itself keeps that
-    result, read-only, in its memo: one entry per sense, and one for both
-    when the elements are real, where the two agree.  It also keeps the
-    forward transform X that an FFT autocorrelation takes: the other sense
-    reads it instead of transforming again, and so does
-    :func:`spectral_flatness`."""
+    of their aperiodic correlation, or its part ``keep`` (slices).  An
+    operand b with the same values as a makes an autocorrelation.  A
+    Sequence correlated with itself keeps the full result, read-only, in
+    its memo: one entry per sense, and one for both when the elements are
+    real, where the two agree.  It also keeps the forward transform X that
+    an FFT autocorrelation takes: the other sense reads it instead of
+    transforming again, and so does :func:`spectral_flatness`."""
     x, y = _operands(a, b)
     if periodic and x.shape != y.shape:
         raise ArgumentError("periodic correlation needs equal shapes, got "
@@ -426,10 +524,11 @@ def _correlation(a, b, dual: bool, periodic: bool = False) -> tuple:
         y = x   # an autocorrelation all the same, computed as one
     key = "dual" if dual and x.dtype.kind == "c" else "conj"
     if y is not x:
-        return x, _convolve(x, y, flip=True, dual=key == "dual")
-    return x, _kept(a, key, lambda: _convolve(
+        return x, _convolve(x, y, flip=True, dual=key == "dual", keep=keep)
+    r = _kept(a, key, lambda: _convolve(
         x, x, flip=True, dual=key == "dual",
         memo=functools.partial(_kept, a, "transform")))
+    return x, r if keep is None else r[keep]
 
 
 def correlate(a, b=None, *, dual: bool = False,

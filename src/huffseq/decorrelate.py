@@ -208,7 +208,7 @@ def reconstruct(s_t, h, dual: bool = False) -> np.ndarray:
             f" vs peak {abs(peak):g}); reconstruction will carry artifacts",
             stacklevel=2)
     crop = tuple(slice(kn - 1, sn) for sn, kn in zip(st.shape, k.shape))
-    est = np.asarray(_correlation(k, st, dual)[1][crop],
+    est = np.asarray(_correlation(k, st, dual, keep=crop)[1],
                      dtype=np.result_type(k, st))
     return est / (peak.real if est.dtype.kind == "f" else peak)
 

@@ -138,18 +138,28 @@ def _fib_parts(N, s, family: str, *, minimum: int, mod4: int, sign=1):
     """Checked s and the parts of the Fibonacci layouts, M = (N-3)/2: the
     head 2sF_0 .. 2sF_M, the centre sF_{M+1} - 2F_M and the mirrored half
     sign*2sF_{-M} .. sign*2sF_{-1}.  An integer s recurs in exact ints, so
-    DomainError first when phi^M sqrt(s^2 + 4), phi = e^asinh(|s|/2), which
-    bounds every element (|F_k(s)| <= phi^(k-1)), leaves the float range;
-    other scales overflow to inf, which :func:`generate` reports."""
+    DomainError first when |s| phi^M / sqrt(s^2 + 4), phi = e^asinh(|s|/2),
+    leaves the float range: it is at most the element |2sF_M|, as
+    F_M >= (phi^M - phi^-M) / sqrt(s^2 + 4) and phi^2M >= 2.  Past that
+    the exact ints decide: DomainError when the largest of them does not
+    round into float64.  Other scales overflow to inf, which
+    :func:`generate` reports."""
     N = _check_length(N, family, minimum=minimum, mod4=mod4)
     s = _check_scale(s, family)
     M = (N - 3) // 2
     if isinstance(s, int):   # 1e-12 covers the rounding of the bound's log
-        _check_float_range(M * math.asinh(abs(s) / 2)
-                           + math.log(s * s + 4) / 2 + 1e-12, family)
+        _check_float_range(M * math.asinh(abs(s) / 2) + math.log(abs(s))
+                           - math.log(s * s + 4) / 2 - 1e-12, family)
     F = list(_fib_run(M + 1, s))
     head = [2 * s * f for f in F[:M + 1]]
     centre = s * F[M + 1] - 2 * F[M]
+    if isinstance(s, int):
+        try:
+            float(max(map(abs, head + [centre])))
+        except OverflowError:
+            raise DomainError(f"{family} leaves the float range at this N "
+                              "and s: its largest element rounds past the "
+                              "largest float") from None
     mirror = [sign * 2 * s * (F[k] if k % 2 else -F[k])
               for k in range(M, 0, -1)]
     return s, head, centre, mirror
@@ -577,7 +587,12 @@ def generate(family: str, n=None, s=None) -> Sequence:
         raise ArgumentError(f"family {family!r} requires a length N")
     if not takes_s and s is not None:
         raise ArgumentError(f"{kind} {family!r} takes no scale parameter")
-    seq = fn(*([n] if takes_n else []), *([s] if takes_s else []))
+    try:
+        seq = fn(*([n] if takes_n else []), *([s] if takes_s else []))
+    except OverflowError:   # float s ** k in a fixed-length family
+        raise DomainError(f"{family} overflows at this N and s: an "
+                          "intermediate value leaves the float range") \
+            from None
     if not takes_n and n is not None and int(n) != len(seq):
         raise ArgumentError(
             f"{kind} {family!r} has fixed length {len(seq)}, got N={n}")

@@ -4,6 +4,7 @@ shared code with the package under test.
 """
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -193,6 +194,64 @@ def brute_xcorr_2d_int(f, g):
             row.append(acc)
         out.append(row)
     return out
+
+
+def _entries(grid):
+    """{index tuple: complex value} of an n-D nested list, and its shape."""
+    shape = []
+    probe = grid
+    while isinstance(probe, list):
+        shape.append(len(probe))
+        probe = probe[0]
+    values = {}
+    for idx in itertools.product(*map(range, shape)):
+        v = grid
+        for i in idx:
+            v = v[i]
+        values[idx] = complex(v)
+    return values, shape
+
+
+def _nested(shape_ranges, value):
+    """Nested lists of value(k) over the product of the per-axis ranges."""
+    def build(prefix, axis):
+        if axis == len(shape_ranges):
+            return value(prefix)
+        return [build(prefix + (k,), axis + 1) for k in shape_ranges[axis]]
+    return build((), 0)
+
+
+def brute_xcorr_nd(f, g, conjugate=True):
+    """Full n-D correlation out[k] = sum_i c(f[i]) * g[i+k] of nested lists,
+    k from -(shape_f - 1) to shape_g - 1 on every axis, c conjugation when
+    ``conjugate``."""
+    fv, sf = _entries(f)
+    gv, sg = _entries(g)
+
+    def lag(k):
+        acc = 0j
+        for i, v in fv.items():
+            j = tuple(a + b for a, b in zip(i, k))
+            if j in gv:
+                acc += (v.conjugate() if conjugate else v) * gv[j]
+        return acc
+    return _nested([range(-(m - 1), n) for m, n in zip(sf, sg)], lag)
+
+
+def brute_blur_nd(obj, h):
+    """Full n-D linear convolution out[k] = sum_i obj[i] * h[k-i] of nested
+    lists."""
+    ov, so = _entries(obj)
+    hv, sh = _entries(h)
+
+    def entry(k):
+        acc = 0j
+        for i, v in ov.items():
+            j = tuple(a - b for a, b in zip(k, i))
+            if j in hv:
+                acc += v * hv[j]
+        return acc
+    return _nested([range(m + n - 1) for m, n in zip(so, sh)], entry)
 
 
 def _principal_sqrt(s):

@@ -106,6 +106,12 @@ class TestGen:
         assert out == ""
         assert "domain error" in err and "float range" in err
 
+    def test_float_power_overflow_exit_3(self, capsys):
+        code, out, err = run(capsys, "gen", "--family", "h9a", "--s", "1e200")
+        assert code == 3
+        assert out == ""
+        assert "domain error" in err and "overflows" in err
+
     def test_fibonacci_past_length_127(self, capsys):
         code, out, _ = run(capsys, "gen", "--family", "fib", "--n", "1003",
                            "--s", "0.5")

@@ -49,13 +49,16 @@ from _oracles import (
     brute_autocorr_2d,
     brute_autocorr_2d_lag,
     brute_autocorr_lag,
+    brute_blur,
     brute_blur_2d,
+    brute_blur_nd,
     brute_merit_factor_exact,
     brute_periodic_autocorr,
     brute_periodic_autocorr_int,
     brute_xcorr,
     brute_xcorr_2d_int,
     brute_xcorr_int,
+    brute_xcorr_nd,
 )
 
 RNG = np.random.default_rng(7)
@@ -351,6 +354,79 @@ class TestMeritFactorExact:
 
 def cnormal(shape):
     return RNG.normal(size=shape) + 1j * RNG.normal(size=shape)
+
+
+# Two-operand FFT products: 1-D just above the direct bound
+# (400 * 330 > 2^17), 2-D and 3-D, the larger operand on either side, and
+# extents that differ per axis, some larger in the smaller operand.
+PRODUCT_SHAPES = [((400,), (330,)), ((330,), (400,)), ((9, 14), (6, 5)),
+                  ((6, 5), (9, 14)), ((7, 3), (4, 9)), ((3, 4, 5), (5, 2, 6)),
+                  ((5, 2, 6), (3, 4, 5))]
+KIND_PAIRS = [("real", "real"), ("complex", "complex"), ("real", "complex"),
+              ("complex", "real")]
+
+
+def operand(shape, kind):
+    return RNG.normal(size=shape) if kind == "real" else cnormal(shape)
+
+
+def read_only(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+class TestTwoOperandProducts:
+    """correlate and convolve of two different operands on the FFT paths,
+    which form the product in the larger operand's spectrum buffer and
+    invert only the lags kept, against the brute-force oracles."""
+
+    @pytest.mark.parametrize("dual", [False, True])
+    @pytest.mark.parametrize("kinds", KIND_PAIRS, ids="-".join)
+    @pytest.mark.parametrize("fshape,gshape", PRODUCT_SHAPES)
+    def test_correlate_matches_oracle(self, fshape, gshape, kinds, dual):
+        f, g = operand(fshape, kinds[0]), operand(gshape, kinds[1])
+        assert method_of(f, g) == ("rfft" if kinds == ("real", "real")
+                                   else "fft")
+        oracle = brute_xcorr if f.ndim == 1 else brute_xcorr_nd
+        want = oracle(f.tolist(), g.tolist(), conjugate=not dual)
+        assert close(correlate(f, g, dual=dual), want, 1e-12)
+
+    @pytest.mark.parametrize("kinds", KIND_PAIRS, ids="-".join)
+    @pytest.mark.parametrize("fshape,gshape", PRODUCT_SHAPES)
+    def test_convolve_matches_oracle(self, fshape, gshape, kinds):
+        f, g = operand(fshape, kinds[0]), operand(gshape, kinds[1])
+        oracle = {1: brute_blur, 2: brute_blur_2d}.get(f.ndim, brute_blur_nd)
+        assert close(convolve(f, g), oracle(f.tolist(), g.tolist()), 1e-12)
+
+    @pytest.mark.parametrize("fshape,gshape", [((9, 14), (6, 5)),
+                                               ((6, 5), (9, 14)),
+                                               ((7, 3), (4, 9))])
+    def test_integer_valued_grids_exact(self, fshape, gshape):
+        # fft_round shares the spectrum buffer; its rounding stays exact.
+        f, g = ints(fshape, 8), ints(gshape, 8)
+        assert method_of(f, g) == "fft_round"
+        got = correlate(f, g)
+        assert np.array_equal(got.real, rounded(brute_xcorr_2d_int(f, g)))
+        assert not got.imag.any()
+
+    @pytest.mark.parametrize("view", [
+        lambda a: a.real, lambda a: a[::-1, ::-1], read_only,
+        lambda a: read_only(a)[::-1, ::2]],
+        ids=["real-part", "reversed", "read-only", "read-only-strided"])
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_views_give_the_contiguous_result_untouched(self, view, first,
+                                                        dual):
+        big, small = view(cnormal((24, 16))), view(cnormal((5, 8)))
+        before = big.copy(), small.copy()
+        f, g = (big, small) if first else (small, big)
+        plain = [np.ascontiguousarray(v) for v in (f, g)]
+        assert np.array_equal(correlate(f, g, dual=dual),
+                              correlate(*plain, dual=dual))
+        assert np.array_equal(convolve(f, g), convolve(*plain))
+        assert np.array_equal(big, before[0])
+        assert np.array_equal(small, before[1])
 
 
 # Autocorrelations by one forward transform: lengths either side of the

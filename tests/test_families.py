@@ -465,14 +465,15 @@ class TestFibonacciTable:
             _assert_fibonacci_checks(maker(N, s))
 
     @pytest.mark.parametrize("maker,s,last", [
-        (gen_fibonacci, 1, 2947), (gen_fibonacci, 3, 1187),
-        (gen_fibonacci, -3, 1187), (gen_perfect_fib, 1, 2947),
-        (gen_perfect_fib, 3, 1187), (gen_h_plus, 1, 2949),
+        (gen_fibonacci, 1, 2951), (gen_fibonacci, 3, 1187),
+        (gen_fibonacci, -3, 1187), (gen_perfect_fib, 1, 2951),
+        (gen_perfect_fib, 3, 1187), (gen_h_plus, 1, 2953),
         (gen_h_plus, 3, 1189)])
     def test_integer_scale_range_edge(self, maker, s, last):
-        # An integer scale recurs in exact ints; the bound on its elements
-        # admits the last length with every element in the float range and
-        # refuses the next one before the recurrence.
+        # An integer scale recurs in exact ints: the last length whose
+        # largest element rounds into float64 generates, and the next one
+        # is refused.  At s = 1 that largest element is within a factor
+        # phi^2 = 2.6 of the float range on both sides of the edge.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             top = np.abs(maker(last, s).elements).max()
@@ -597,6 +598,13 @@ class TestArgumentValidation:
     def test_non_finite_output_is_domain_error(self, family, n, s):
         with pytest.raises(DomainError, match="not finite"):
             generate(family, n=n, s=s)
+
+    @pytest.mark.parametrize("family", ["h9a", "h13a", "h11", "h17", "he6"])
+    def test_float_power_overflow_is_domain_error(self, family):
+        # Float s ** k raises OverflowError in these generators; generate
+        # reports it as the domain error the other families give.
+        with pytest.raises(DomainError, match="overflows at this N and s"):
+            generate(family, s=1e200)
 
     def test_int_scale_beyond_float_range_rejected(self):
         with pytest.raises(ArgumentError, match="finite"):
