@@ -12,24 +12,18 @@ canonical sequence or an n-D Huffman array vanishes at each of them, and a
 perfect array at every non-zero cyclic shift.  :func:`_offpeak` alone finds
 them, for every delta-correlation verdict.
 
-An autocorrelation on the FFT path transforms its operand once, and the
-conjugating one of a complex operand inverts the real |X|^2 as a half-length
-Hermitian transform.  A :class:`~huffseq.core.Sequence` correlated with
-itself is computed once per sense (conjugating or dual) and shared by every
-later call on it, from :func:`autocorr` to :func:`is_canonical` and
-:func:`merit_factor`; its energy is kept the same way.  ndarray inputs are
-not memoised, and every returned array is a fresh writable copy.
+Every FFT product, an autocorrelation included, is one routine,
+:func:`_fft_convolve`, and every forward transform is :func:`_spectrum`'s.
 
-A Sequence also keeps the forward transform X that its FFT autocorrelation
-takes, on the grid of L = _fast_len(2N-1) bins: both senses share it, so a
-dual check after the conjugating one takes an inverse transform only, and
-:func:`spectral_flatness` reads |X| from it.  Any other input to the
-flatness takes that transform once, on the same grid.
-
-A product of two different operands on the FFT path is formed and inverted
-in one spectrum buffer, the larger operand's: a correlation is conj(X) Y or
-X(-w) Y, so x is reversed only on the summation paths, and the last axis
-is inverted only for the lags the caller keeps (see :func:`_fft_convolve`).
+A :class:`~huffseq.core.Sequence` correlated with itself is computed once
+per sense (conjugating or dual) and shared by every later call on it, from
+:func:`autocorr` to :func:`is_canonical` and :func:`merit_factor`; its
+energy is kept the same way.  ndarray inputs are not memoised, and every
+returned array is a fresh writable copy.  A Sequence also keeps the
+forward transform X of its FFT autocorrelation, on the grid of
+L = _fast_len(2N-1) bins: both senses share it, and
+:func:`spectral_flatness` reads |X| from it, or takes X by the very
+:func:`_spectrum` call the autocorrelation makes.
 """
 
 from __future__ import annotations
@@ -42,7 +36,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ArgumentError, Sequence, _energy, as_array, dft
+from .core import (DEFAULT_TOL, ArgumentError, Sequence, _cast, _energy,
+                   as_array, dft)
 
 # Largest |a|*|b| that np.convolve takes for 1-D inputs; longer ones use the
 # FFT.  Measured with numpy 2.4 on a 2-core x86-64 machine: balanced complex
@@ -133,60 +128,21 @@ def _lags(z: np.ndarray, spans, hermitian: bool = False) -> np.ndarray:
     return z
 
 
-def _fft_autocorr(x, length, real: bool, dual: bool = False,
-                  memo=None) -> np.ndarray:
-    """The full autocorrelation of x (conjugating unless ``dual``), each
-    axis zero-padded to ``length(2n-1)``, from the one forward transform X
-    of x, its lags gathered by :func:`_lags`:
-
-    * dual, complex x: the inverse transform of X(w) X(-w), X(-w) sliced
-      from X by :func:`_mirrored`;
-    * conjugating, complex x: |X|^2 is real, so its inverse is Hermitian
-      and half of it is taken: np.fft.ihfft along the last axis (lags
-      0 .. L//2), then np.fft.ifft along each other axis;
-    * real x: the inverse real transform of X conj(X), both senses.
-
-    ``memo``, if given, is called with a function computing X and
-    returns X: a Sequence's memo, which keeps X for both senses and
-    :func:`spectral_flatness`.  Entries near the float range may overflow
-    to inf or NaN, quietly."""
-    s = [length(2 * n - 1) for n in x.shape]
-    axes = tuple(range(x.ndim))
-    spans = [range(1 - n, n) for n in x.shape]
-    if real:
-        fwd, inv = np.fft.rfftn, np.fft.irfftn
-    else:
-        fwd, inv = np.fft.fftn, np.fft.ifftn
-    with np.errstate(over="ignore", invalid="ignore"):
-        spec = fwd(x, s, axes) if memo is None else \
-            memo(lambda: fwd(x, s, axes))
-        # Each product replaces X, so that it is let go before the inverse
-        # (a Sequence's memo keeps its own reference).
-        if real:   # for a real x, X(-w) is conj X(w)
-            spec = spec * spec.conj()
-        elif dual:
-            spec = spec * _mirrored(spec)
-        else:
-            spec = (spec * spec.conj()).real
-            z = np.fft.ihfft(spec, axis=-1)
-            for ax in axes[:-1]:
-                z = np.fft.ifft(z, axis=ax)
-            return _lags(z, spans, hermitian=True)
-        return _lags(inv(spec, s, axes), spans)
-
-
 def _spectrum(v: np.ndarray, s: list, real: bool) -> np.ndarray:
     """The transform of v zero-padded to the grid ``s`` (the real one of
-    the last axis when ``real``), in one fresh buffer: the last axis by
-    ``out=`` into only the rows v occupies, then every other axis in place,
-    over the extent v occupies on the axes before it.  The buffer is
-    np.empty with only its padding zeroed: np.zeros (calloc) gave each
-    buffer fresh pages, about 1000 more page faults per 512^2 deblur round
-    trip."""
+    the last axis when ``real``), in one fresh buffer.  A 1-D v is one
+    np.fft call.  An n-D one is transformed along the last axis by ``out=``
+    into only the rows v occupies, then along every other axis in place,
+    over the extent v occupies on the axes before it: one np.fft call per
+    axis.  The buffer is np.empty with only its padding zeroed: np.zeros
+    (calloc) gave each buffer fresh pages, about 1000 more page faults per
+    512^2 deblur round trip."""
+    fwd = np.fft.rfft if real else np.fft.fft
+    if v.ndim == 1:
+        return fwd(v, s[0])
     spec = np.empty(s[:-1] + [s[-1] // 2 + 1 if real else s[-1]],
                     dtype=np.complex128)
-    (np.fft.rfft if real else np.fft.fft)(
-        v, s[-1], out=spec[tuple(slice(n) for n in v.shape[:-1])])
+    fwd(v, s[-1], out=spec[tuple(slice(n) for n in v.shape[:-1])])
     for ax in reversed(range(v.ndim - 1)):
         part = spec[tuple(slice(n) for n in v.shape[:ax])]
         part[(slice(None),) * ax + (slice(v.shape[ax], None),)] = 0
@@ -195,46 +151,70 @@ def _spectrum(v: np.ndarray, s: list, real: bool) -> np.ndarray:
 
 
 def _fft_convolve(x, y, length, real: bool, flip: bool = False,
-                  dual: bool = False, keep=None) -> np.ndarray:
+                  dual: bool = False, keep=None, memo=None) -> np.ndarray:
     """Full linear convolution of x and y by a zero-padded FFT over every
     axis, each axis padded to ``length(full extent)``; with ``flip`` the
     correlation of x against y instead, from conj(X) Y (conjugating) or
     X(-w) Y (``dual``, X(-w) sliced by :func:`_mirrored`), with no reversed
     copy of x.  ``keep`` (slices of the full result) is the part returned.
 
-    Each operand is transformed into its own buffer by :func:`_spectrum`,
-    and the product is formed in the larger operand's.  The inverse runs in
-    place on every axis but the last, and the last axis is inverted only
-    for the rows kept, into the smaller operand's buffer.  Entries near the
-    float range may overflow to inf or NaN, quietly."""
+    Two operands are transformed into a buffer each, and the product is
+    formed in the larger one's.  An autocorrelation (``flip``, y is x) is
+    the one-operand case: X is taken once, through ``memo`` when given (a
+    Sequence's memo), and the product is X conj(X) for a real x, X(w) X(-w)
+    for a dual complex one.  The product is inverted in place on every axis
+    but the last, and the last axis only for the rows kept, into the
+    smaller operand's buffer or a fresh one.  The conjugating
+    autocorrelation of a complex x instead inverts the real |X|^2 as a
+    Hermitian transform, half of it: np.fft.ihfft along the last axis (lags
+    0 .. L//2), then np.fft.ifft along each other axis; ``keep`` is then
+    None.  Entries near the float range may overflow to inf or NaN,
+    quietly."""
     full = _full_shape(x, y)
     s = [length(n) for n in full]
     # The kept part as cyclic positions: a correlation's index j is its
     # lag j - (m-1), m the extent of x, and a lag -k sits at position L-k.
-    keep = keep or (slice(None),) * x.ndim
-    spans = [range(n)[k] for n, k in zip(full, keep)]
-    if flip:
-        spans = [range(r.start + 1 - m, r.stop + 1 - m)
-                 for r, m in zip(spans, x.shape)]
-    own, other = (x, y) if x.size >= y.size else (y, x)
+    spans = []
+    for n, k, m in zip(full, keep or (slice(None),) * x.ndim, x.shape):
+        r = range(n)[k]
+        spans.append(range(r.start + 1 - m, r.stop + 1 - m) if flip else r)
+    factor = None
     with np.errstate(over="ignore", invalid="ignore"):
-        spec, factor = _spectrum(own, s, real), _spectrum(other, s, real)
-        if flip:
-            turned = spec if own is x else factor
-            if dual:
-                turned[...] = _mirrored(turned)
+        if flip and y is x:
+            spec = _spectrum(x, s, real) if memo is None else \
+                memo(lambda: _spectrum(x, s, real))
+            # Each product replaces X, so that it is let go before the
+            # inverse (a Sequence's memo keeps its own reference).
+            if real:   # for a real x, X(-w) is conj X(w)
+                spec = spec * spec.conj()
+            elif dual:
+                spec = spec * _mirrored(spec)
             else:
-                np.conjugate(turned, out=turned)
-        spec *= factor
-        for ax in range(x.ndim - 1):
-            np.fft.ifft(spec, axis=ax, out=spec)
-        spec = _lags(spec, spans[:-1] + [None])   # lets go of a full copy
+                z = np.fft.ihfft((spec * spec.conj()).real, axis=-1)
+                for ax in range(x.ndim - 1):
+                    np.fft.ifft(z, axis=ax, out=z)
+                return _lags(z, spans, hermitian=True)
+        else:
+            own, other = (x, y) if x.size >= y.size else (y, x)
+            spec, factor = _spectrum(own, s, real), _spectrum(other, s, real)
+            if flip:
+                turned = spec if own is x else factor
+                if dual:
+                    turned[...] = _mirrored(turned)
+                else:
+                    np.conjugate(turned, out=turned)
+            spec *= factor
+        if x.ndim > 1:   # a 1-D product skips this bookkeeping
+            for ax in range(x.ndim - 1):
+                np.fft.ifft(spec, axis=ax, out=spec)
+            spec = _lags(spec, spans[:-1] + [None])   # lets go of a full copy
         # The factor's memory has room for the result: fresh pages would
-        # each cost a fault.
-        shape = spec.shape[:-1] + (s[-1],)
-        z = factor.reshape(-1).view(np.float64 if real else np.complex128)
-        z = z[:math.prod(shape)].reshape(shape)
-        (np.fft.irfft if real else np.fft.ifft)(spec, s[-1], out=z)
+        # each cost a fault.  With one operand numpy takes a fresh buffer.
+        shape, z = spec.shape[:-1] + (s[-1],), None
+        if factor is not None:
+            z = factor.reshape(-1).view(np.float64 if real else np.complex128)
+            z = z[:math.prod(shape)].reshape(shape)
+        z = (np.fft.irfft if real else np.fft.ifft)(spec, s[-1], out=z)
         return _lags(z, [None] * (x.ndim - 1) + spans[-1:])
 
 
@@ -385,27 +365,21 @@ def _convolve(x: np.ndarray, y: np.ndarray, flip: bool = False,
               dual: bool = False, memo=None, keep=None) -> np.ndarray:
     """Full linear convolution of two arrays of equal rank by the method
     :func:`_method` picks, or with ``flip`` the correlation of x against y;
-    ``keep`` (slices of the full result) is the part returned.  On the FFT
-    paths a correlation comes from x's own transform (see
-    :func:`_fft_convolve`), and an autocorrelation, whose one operand is
-    both x and y, transforms it once (:func:`_fft_autocorr`); on the 'rfft'
-    and 'fft' paths of an autocorrelation that forward transform X, the one
-    :func:`_transform` takes, goes through ``memo``, which no other path
-    calls.  The summation paths ('direct', 'int64', 'pyint') reverse x on
-    every axis, and conjugate it unless ``dual``, after the pick, which the
-    reversal would not change.  The exact methods return int64 or
-    Python-int (object) arrays holding the exact integer result."""
+    ``keep`` (slices of the full result) is the part returned.  The FFT
+    paths are one call to :func:`_fft_convolve`, whose one-operand case is
+    the autocorrelation (x passed as both x and y); ``memo`` reaches it on
+    the 'rfft' and 'fft' paths only.  The summation paths ('direct',
+    'int64', 'pyint') reverse x on every axis, and conjugate it unless
+    ``dual``, after the pick, which the reversal would not change.  The
+    exact methods return int64 or Python-int (object) arrays holding the
+    exact integer result."""
     method = _method(x, y)
     if method in ("rfft", "fft", "fft_round"):
-        length = _pow2_len if method == "fft_round" else _fast_len
-        real = method != "fft"
-        if flip and y is x:
-            z = _fft_autocorr(x, length, real, dual,
-                              None if method == "fft_round" else memo)
-            z = z if keep is None else z[keep]
-        else:
-            z = _fft_convolve(x, y, length, real, flip, dual, keep)
-        return np.rint(z).astype(np.int64) if method == "fft_round" else z
+        exact = method == "fft_round"
+        z = _fft_convolve(x, y, _pow2_len if exact else _fast_len,
+                          method != "fft", flip, dual, keep,
+                          None if exact else memo)
+        return np.rint(z).astype(np.int64) if exact else z
     if flip:
         x = x[(slice(None, None, -1),) * x.ndim]
         if not dual and x.dtype.kind == "c":
@@ -429,14 +403,14 @@ def _grid(a) -> np.ndarray:
     part is non-zero: a Sequence's elements through :func:`_real`, any
     other real input cast to float64 (a float64 array is itself), and
     complex or object input cast to complex128, then through
-    :func:`_real`."""
+    :func:`_real`.  Input that does not cast is an ArgumentError."""
     if isinstance(a, Sequence):
         return _real(a.elements)
-    arr = np.asarray(a)
+    arr = _cast(a)
     if arr.dtype.kind in "cO":
-        arr = _real(arr.astype(np.complex128, copy=False))
+        arr = _real(_cast(arr, np.complex128))
     else:
-        arr = arr.astype(np.float64, copy=False)
+        arr = _cast(arr, np.float64)
     if arr.size == 0:
         raise ArgumentError("empty input")
     return arr
@@ -776,16 +750,6 @@ def merit_factor_exact(f) -> Fraction:
     return Fraction(energy * energy, 2 * sidepower)
 
 
-def _transform(a: np.ndarray) -> np.ndarray:
-    """X of the 1-D a on the grid of its FFT autocorrelation,
-    L = _fast_len(2N-1): the L//2+1 bins of np.fft.rfft when a is real, all
-    L of np.fft.fft when it is not, the transform _fft_convolve takes, bit
-    for bit."""
-    x = _real(a)
-    n = _fast_len(2 * x.size - 1)
-    return np.fft.rfft(x, n) if x.dtype.kind == "f" else np.fft.fft(x, n)
-
-
 def spectral_flatness(f) -> float:
     """min/max |F| over the L = _fast_len(2N-1) DFT bins of f zero-padded
     to L (the smallest 2^a 3^b 5^c >= 2N-1, the grid of its FFT
@@ -795,12 +759,17 @@ def spectral_flatness(f) -> float:
     ndarray, bit for bit.  |X| is taken, not |X|^2, so that entries up to
     the float range do not overflow."""
     a = _one_d(f, "spectral_flatness")
-    spec = np.abs(_kept(f, "transform", lambda: _transform(a)))
-    top = float(spec.max())
+
+    def transform():   # the call the FFT autocorrelation makes
+        x = _real(a)
+        return _spectrum(x, [_fast_len(2 * x.size - 1)], x.dtype.kind == "f")
+
+    spec = np.abs(_kept(f, "transform", transform))
+    top = float(np.maximum.reduce(spec))   # the ufunc: no method wrapper
     if top == 0:
         raise ArgumentError("spectral flatness is undefined for the zero "
                             "sequence")
-    return float(spec.min()) / top
+    return float(np.minimum.reduce(spec)) / top
 
 
 def dual_cross_spectrum(f, padded_length: int | None = None) -> np.ndarray:

@@ -33,6 +33,15 @@ class DomainError(ArithmeticError):
     """A construction's internal radicand or divisor leaves its valid domain."""
 
 
+def _cast(a, dtype=None) -> np.ndarray:
+    """np.asarray(a, dtype), or an ArgumentError when a does not cast: a
+    string where a number belongs, say, or a ragged nesting."""
+    try:
+        return np.asarray(a, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"not a numeric array: {exc}") from exc
+
+
 def approx_equal(a: complex, b: complex, tol: float = DEFAULT_TOL) -> bool:
     """Relative closeness: |a - b| <= tol * max(1, |a|, |b|)."""
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
@@ -88,7 +97,7 @@ class Sequence:
                         compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.elements, dtype=np.complex128)
+        arr = _cast(self.elements, np.complex128)
         if arr.ndim != 1:
             raise ArgumentError(
                 f"Sequence elements must be 1-D, got shape {arr.shape}")
@@ -133,7 +142,7 @@ def as_array(seq) -> np.ndarray:
     """Coerce a Sequence, array, or iterable to a complex128 ndarray."""
     if isinstance(seq, Sequence):
         return seq.elements
-    arr = np.asarray(seq, dtype=np.complex128)
+    arr = _cast(seq, np.complex128)
     if arr.size == 0:
         raise ArgumentError("empty input")
     return arr
@@ -236,10 +245,13 @@ def from_json_obj(obj: dict):
     if not (np.isfinite(elements).all() and np.isfinite(sc)):
         raise ArgumentError("sequence object holds a non-finite value")
     if "shape" in obj:
-        try:
-            shape = tuple(int(d) for d in obj["shape"])
-        except (TypeError, ValueError) as exc:
-            raise ArgumentError(f"malformed shape field: {exc}") from exc
+        shape = obj["shape"]
+        # JSON integers only: int() would take 2.7 as 2, true as 1, "2" as 2.
+        if not isinstance(shape, list) or not all(
+                isinstance(d, int) and not isinstance(d, bool) for d in shape):
+            raise ArgumentError(f"shape must be a list of integers, got "
+                                f"{shape!r}")
+        shape = tuple(shape)
         if any(d < 0 for d in shape) or math.prod(shape) != elements.size:
             raise ArgumentError(f"shape {shape} is not a shape of "
                                 f"{elements.size} elements")

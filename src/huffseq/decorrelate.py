@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArgumentError, DomainError
+from .core import ArgumentError, DomainError, _cast
 from .analysis import (_convolve, _correlation, _grid, _offpeak, _operands,
                        _sumsq, correlate, nd_autocorr)
 
@@ -47,7 +47,7 @@ class MaskSet:
     def __post_init__(self):
         if self.kind not in _WEIGHTS:
             raise ArgumentError(f"unknown mask kind {self.kind!r}")
-        masks = tuple(np.asarray(m, dtype=np.float64) for m in self.masks)
+        masks = tuple(_cast(m, np.float64) for m in self.masks)
         if len(masks) != len(self.weights):
             raise ArgumentError(f"{self.kind} takes {len(self.weights)} "
                                 f"masks, not {len(masks)}")
@@ -121,7 +121,11 @@ def pedestal_masks(h, kappa: float | None = None) -> MaskSet:
     lo_pos = float(max(hr.max(), 0.0))
     if kappa is None:
         kappa = max(lo_neg, lo_pos)
-    kappa = float(kappa)
+    try:
+        kappa = float(kappa)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"pedestal must be a number, got {kappa!r}") \
+            from exc
     if kappa < lo_neg:
         raise ArgumentError(
             f"pedestal {kappa} leaves h + kappa negative; need "

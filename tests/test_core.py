@@ -10,17 +10,28 @@ from hypothesis import given, strategies as st
 
 from huffseq import (
     ArgumentError,
+    MaskSet,
     Sequence,
     approx_equal,
     as_array,
+    autocorr,
+    blur,
+    convolve,
+    correlate,
     dft,
+    end_term_bound,
     fib_poly,
     from_json_obj,
     kron,
+    merit_factor,
     offset,
     outer,
+    pedestal_masks,
     quantize_round,
+    recon_error,
+    reconstruct,
     scale,
+    split_signs,
     to_json_obj,
 )
 
@@ -206,6 +217,9 @@ class TestJsonInterchange:
         {"family": 7, "elements": [[1.0, 0.0]]},
         {"family": None, "elements": [[1.0, 0.0]]},
         {"elements": [[1, 0], [2, 0], [3, 0]], "shape": [-1, -3]},
+        {"elements": [[1, 0], [2, 0], [3, 0], [4, 0]], "shape": [2.7, 2]},
+        {"elements": [[1, 0]], "shape": [True, 1]},
+        {"elements": [[1, 0], [2, 0], [3, 0], [4, 0]], "shape": ["2", 2]},
     ])
     def test_malformed_payloads_rejected(self, payload):
         with pytest.raises(ArgumentError):
@@ -228,3 +242,32 @@ class TestAsArray:
             arr = as_array(source)
             assert arr.dtype == np.complex128
             assert list(arr.real) == [1, 2]
+
+
+# A value that does not cast to a number, reaching each cast that public
+# input goes through: as_array, the engine's _grid, Sequence, MaskSet and
+# pedestal_masks' pedestal.
+NON_NUMERIC_CALLS = {
+    "autocorr": lambda: autocorr("abc"),
+    "merit_factor": lambda: merit_factor("ab"),
+    "dft": lambda: dft("ab"),
+    "kron": lambda: kron("a", [1]),
+    "quantize_round": lambda: quantize_round("a"),
+    "correlate": lambda: correlate("abc"),
+    "convolve": lambda: convolve([1, 2], "x"),
+    "blur": lambda: blur("x", [1.0]),
+    "recon_error": lambda: recon_error([1.0, 2.0], [1, "a"]),
+    "split_signs": lambda: split_signs("a"),
+    "end_term_bound": lambda: end_term_bound([[1, "a"]]),
+    "reconstruct": lambda: reconstruct([1, 2, 3], [1, "a"]),
+    "Sequence": lambda: Sequence("ab"),
+    "MaskSet": lambda: MaskSet((np.ones(2), [1, "a"]), "split_sign"),
+    "pedestal_masks": lambda: pedestal_masks([1.0, -1.0], "x"),
+}
+
+
+@pytest.mark.parametrize("call", NON_NUMERIC_CALLS.values(),
+                         ids=NON_NUMERIC_CALLS.keys())
+def test_non_numeric_input_is_an_argument_error(call):
+    with pytest.raises(ArgumentError):
+        call()
