@@ -18,10 +18,10 @@ Every FFT product, an autocorrelation included, is one routine,
 A :class:`~huffseq.core.Sequence` correlated with itself is computed once
 per sense (conjugating or dual) and shared by every later call on it, from
 :func:`autocorr` to :func:`is_canonical` and :func:`merit_factor`; its
-energy is kept the same way.  ndarray inputs are not memoised, and every
-returned array is a fresh writable copy.  A Sequence also keeps the
-forward transform X of its FFT autocorrelation, on the grid of
-L = _fast_len(2N-1) bins: both senses share it, and
+energy and its :func:`_grid` are kept the same way.  ndarray inputs are
+not memoised, and every returned array is a fresh writable copy.  A
+Sequence also keeps the forward transform X of its FFT autocorrelation,
+on the grid of L = _fast_len(2N-1) bins: both senses share it, and
 :func:`spectral_flatness` reads |X| from it, or takes X by the very
 :func:`_spectrum` call the autocorrelation makes.
 """
@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (DEFAULT_TOL, ArgumentError, Sequence, _cast, _energy,
-                   as_array, dft)
+                   _number, as_array, dft)
 
 # Largest |a|*|b| that np.convolve takes for 1-D inputs; longer ones use the
 # FFT.  Measured with numpy 2.4 on a 2-core x86-64 machine: balanced complex
@@ -400,12 +400,12 @@ def _real(x: np.ndarray) -> np.ndarray:
 
 def _grid(a) -> np.ndarray:
     """``a`` as a float64 array, or as a complex128 one when some imaginary
-    part is non-zero: a Sequence's elements through :func:`_real`, any
-    other real input cast to float64 (a float64 array is itself), and
-    complex or object input cast to complex128, then through
-    :func:`_real`.  Input that does not cast is an ArgumentError."""
+    part is non-zero: a Sequence's elements through :func:`_real` once,
+    kept in its memo, any other real input cast to float64 (a float64 array
+    is itself), and complex or object input cast to complex128, then
+    through :func:`_real`.  Input that does not cast is an ArgumentError."""
     if isinstance(a, Sequence):
-        return _real(a.elements)
+        return a._memoised("grid", lambda: _real(a.elements))
     arr = _cast(a)
     if arr.dtype.kind in "cO":
         arr = _real(_cast(arr, np.complex128))
@@ -449,15 +449,13 @@ def _one_d(f, name: str, minimum: int = 1) -> np.ndarray:
     return a
 
 
-def _tolerance(tol: float) -> None:
-    """An ArgumentError unless tol is a real number, positive and finite
-    (NaN is neither)."""
-    try:
-        ok = tol > 0 and math.isfinite(tol)
-    except TypeError:   # None, a string, a complex number
-        ok = False
-    if not ok:
-        raise ArgumentError(f"tol must be positive and finite, got {tol!r}")
+def _tolerance(tol) -> float:
+    """tol, a real number positive and finite, or an ArgumentError."""
+    what = "tol must be positive and finite"
+    tol = _number(tol, what, (int, float))
+    if tol <= 0:
+        raise ArgumentError(f"{what}, got {tol!r}")
+    return tol
 
 
 def _fold(r: np.ndarray, shape: tuple) -> np.ndarray:
@@ -675,7 +673,7 @@ def is_canonical(f, tol: float = DEFAULT_TOL, dual: bool = False
     N <= 2).  ``dual`` switches to the conjugate-free autocorrelation.  An
     energy beyond the float range is no reference: the verdict is False.
     ``tol`` must be positive and finite."""
-    _tolerance(tol)
+    tol = _tolerance(tol)
     a = _one_d(f, "is_canonical")
     energy = _kept(f, "energy", lambda: _energy(a))
     values = _correlation(f, None, dual)[1]   # raw, and read-only if kept
@@ -693,7 +691,7 @@ def is_canonical(f, tol: float = DEFAULT_TOL, dual: bool = False
 def is_perfect(f, tol: float = DEFAULT_TOL) -> bool:
     """True when every non-zero cyclic shift correlates to at most
     tol * peak (tol positive and finite), and the peak is finite."""
-    _tolerance(tol)
+    tol = _tolerance(tol)
     prof = periodic_autocorr(f)
     return bool(math.isfinite(prof.peak)
                 and prof.max_interior_offpeak <= tol * prof.peak)

@@ -11,11 +11,14 @@ Conventions fixed across the package:
 * the DFT is the unnormalized forward transform with negative exponent
   (``numpy.fft.fft``);
 * rounding is half-away-from-zero, applied to real values only;
-* square roots of complex arguments take the principal branch.
+* square roots of complex arguments take the principal branch;
+* every scalar parameter is read by :func:`_number`: a finite number of the
+  parameter's kind (count, real or complex), or an ArgumentError.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence as _Seq
@@ -42,8 +45,33 @@ def _cast(a, dtype=None) -> np.ndarray:
         raise ArgumentError(f"not a numeric array: {exc}") from exc
 
 
+_PYTHON = {"i": int, "u": int, "f": float, "c": complex}
+
+
+def _number(x, what: str, kinds: tuple = (int, float, complex)):
+    """x as a finite Python number of a type in ``kinds``: (int,) for a
+    count, (int, float) for a real parameter.  A numpy number is taken as
+    its Python value (np.longdouble as a float) by _PYTHON.  Anything else,
+    a bool, str, None, array, NaN, +-inf or an int beyond the float range
+    among them, is an ArgumentError "{what}, got {x!r}"."""
+    value = x
+    if type(x) not in kinds and isinstance(x, np.generic) and \
+            x.dtype.kind in _PYTHON:
+        value = _PYTHON[x.dtype.kind](x)
+    if type(value) in kinds:
+        try:
+            if cmath.isfinite(value):
+                return value
+        except OverflowError:   # an int beyond the float range
+            pass
+    raise ArgumentError(f"{what}, got {x!r}")
+
+
 def approx_equal(a: complex, b: complex, tol: float = DEFAULT_TOL) -> bool:
-    """Relative closeness: |a - b| <= tol * max(1, |a|, |b|)."""
+    """Relative closeness of numbers: |a - b| <= tol * max(1, |a|, |b|)."""
+    what = "approx_equal takes finite numbers, tol a real one"
+    a, b = _number(a, what), _number(b, what)
+    tol = _number(tol, what, (int, float))
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
@@ -65,19 +93,17 @@ def fib_poly(n: int, s):
     ints stay exact at any index, and floats overflow to inf as float
     arithmetic does.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise ArgumentError(f"fib_poly index must be an integer, got {n!r}")
-    n = int(n)
+    n = _number(n, "fib_poly index must be an integer", (int,))
     for value in _fib_run(abs(n), s):
         pass
     return -value if n < 0 and n % 2 == 0 else value
 
 
 def _energy(arr: np.ndarray) -> float:
-    """sum |arr_i|^2, exact for integer entries (their magnitudes are), and
-    inf without a numpy warning beyond the float range."""
+    """sum re_i^2 + im_i^2, exact for Gaussian-integer entries whose sum is
+    below 2^53, and inf without a numpy warning beyond the float range."""
     with np.errstate(over="ignore"):
-        return float(np.sum(np.abs(arr) ** 2))
+        return float(np.sum(arr.real * arr.real + arr.imag * arr.imag))
 
 
 @dataclass(frozen=True)
@@ -85,10 +111,11 @@ class Sequence:
     """Immutable 1-D complex sequence tagged with its family id and scale.
 
     ``_memo`` keeps what is computed once from the elements, through
-    :meth:`_memoised` alone: the energy, the raw autocorrelations (one per
-    sense) that every check in :mod:`huffseq.analysis` shares, and the
-    forward transform X on the autocorrelation's FFT grid, which both
-    senses share and from which spectral flatness takes |X|."""
+    :meth:`_memoised` alone: the energy, the engine's grid of the elements,
+    the raw autocorrelations (one per sense) that every check in
+    :mod:`huffseq.analysis` shares, and the forward transform X on the
+    autocorrelation's FFT grid, which both senses share and from which
+    spectral flatness takes |X|."""
 
     elements: np.ndarray
     family: str = "custom"
@@ -106,7 +133,8 @@ class Sequence:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "elements", arr)
-        object.__setattr__(self, "scale", complex(self.scale))
+        object.__setattr__(self, "scale", complex(_number(
+            self.scale, "Sequence scale must be a finite number")))
 
     def __getstate__(self) -> dict:
         """Copies and pickles leave the memo behind: numpy does not keep an
@@ -167,12 +195,10 @@ def dft(f, n: int | None = None) -> np.ndarray:
     """Forward unnormalized DFT with optional zero-padding to length n, an
     integer >= len(f)."""
     arr = as_array(f)
-    if n is None:
-        n = arr.size
-    if not isinstance(n, (int, np.integer)) or n < arr.size:
-        raise ArgumentError(
-            f"dft length must be an integer >= the sequence length "
-            f"{arr.size}, got {n!r}")
+    what = f"dft length must be an integer >= the sequence length {arr.size}"
+    n = arr.size if n is None else _number(n, what, (int,))
+    if n < arr.size:
+        raise ArgumentError(f"{what}, got {n!r}")
     return np.fft.fft(arr, n)
 
 
@@ -190,13 +216,13 @@ def quantize_round(f) -> np.ndarray:
 
 
 def offset(f, c: complex) -> np.ndarray:
-    """Add a constant to every element."""
-    return as_array(f) + complex(c)
+    """Add a constant, a finite number, to every element."""
+    return as_array(f) + _number(c, "offset constant must be a finite number")
 
 
 def scale(f, c: complex) -> np.ndarray:
-    """Multiply every element by a constant."""
-    return as_array(f) * complex(c)
+    """Multiply every element by a constant, a finite number."""
+    return as_array(f) * _number(c, "scale constant must be a finite number")
 
 
 def _c2pair(z: complex) -> list:
@@ -214,7 +240,7 @@ def to_json_obj(seq) -> dict:
         family = seq.family
         sc = seq.scale
     else:
-        arr = np.asarray(seq, dtype=np.complex128)
+        arr = _cast(seq, np.complex128)
         family = "custom"
         sc = 1.0 + 0.0j
     obj = {

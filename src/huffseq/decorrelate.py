@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArgumentError, DomainError, _cast
+from .core import ArgumentError, DomainError, _cast, _number
 from .analysis import (_convolve, _correlation, _grid, _offpeak, _operands,
                        _sumsq, correlate, nd_autocorr)
 
+_PEDESTAL = "pedestal must be a finite real number"
 _WEIGHTS = {"split_sign": (1, -1), "pedestal": (0.5, -0.5),
             "split_complex": (1, -1, 1j, -1j)}
 
@@ -57,6 +58,8 @@ class MaskSet:
             if not np.all(np.isfinite(m) & (m >= 0)):
                 raise ArgumentError("masks must be finite and non-negative")
         object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "pedestal", float(_number(
+            self.pedestal, _PEDESTAL, (int, float))))
 
     @property
     def weights(self) -> tuple:
@@ -119,13 +122,8 @@ def pedestal_masks(h, kappa: float | None = None) -> MaskSet:
     hr = _require_real(_grid(h), "pedestal_masks")
     lo_neg = float(max(-hr.min(), 0.0))
     lo_pos = float(max(hr.max(), 0.0))
-    if kappa is None:
-        kappa = max(lo_neg, lo_pos)
-    try:
-        kappa = float(kappa)
-    except (TypeError, ValueError) as exc:
-        raise ArgumentError(f"pedestal must be a number, got {kappa!r}") \
-            from exc
+    kappa = max(lo_neg, lo_pos) if kappa is None else \
+        float(_number(kappa, _PEDESTAL, (int, float)))
     if kappa < lo_neg:
         raise ArgumentError(
             f"pedestal {kappa} leaves h + kappa negative; need "
@@ -243,13 +241,10 @@ def end_term_bound(h, obj_max: float = 1.0, dual: bool = False) -> float:
     autocorrelation terms: (sum of off-center |r|) * obj_max / |peak|.
     ``obj_max`` must be a real number, finite and >= 0.  A peak that is not
     finite raises DomainError."""
-    try:
-        obj_max = float(obj_max)
-    except (TypeError, ValueError) as exc:   # None, a complex number, "x"
-        raise ArgumentError(f"obj_max must be a real number, got "
-                            f"{obj_max!r}") from exc
-    if not (math.isfinite(obj_max) and obj_max >= 0):
-        raise ArgumentError(f"obj_max must be finite and >= 0, got {obj_max}")
+    what = "obj_max must be a real number, finite and >= 0"
+    obj_max = _number(obj_max, what, (int, float))
+    if obj_max < 0:
+        raise ArgumentError(f"{what}, got {obj_max!r}")
     _, r, peak = _mask_autocorr(h, dual)
     peak = abs(peak)
     if peak == 0:

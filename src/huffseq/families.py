@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ArgumentError, DomainError, Sequence, _fib_run
+from .core import ArgumentError, DomainError, Sequence, _fib_run, _number
 
 
 def _sqrt(x):
@@ -48,29 +48,9 @@ def _sqrt(x):
 
 
 def _check_scale(s, family: str, excluded=(0,)):
-    """The scale s as a Python number.  ArgumentError when s is missing, not
-    a number, not finite (real or imaginary part), or one of the family's
-    ``excluded`` values."""
-    if s is None:
-        raise ArgumentError(f"family {family!r} requires a scale parameter s")
-    if type(s) not in (int, float, complex):  # numpy scalars, bool, others
-        if isinstance(s, (bool, np.bool_)):
-            raise ArgumentError("scale parameter must be a number")
-        if isinstance(s, (np.integer,)):
-            s = int(s)
-        elif isinstance(s, (np.floating,)):
-            s = float(s)
-        elif isinstance(s, (np.complexfloating,)):
-            s = complex(s)
-        elif not isinstance(s, (int, float, complex)):
-            raise ArgumentError(
-                f"scale parameter must be a number, got {s!r}")
-    try:
-        finite = cmath.isfinite(s)
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
-        raise ArgumentError(f"{family} requires a finite scale s")
+    """The scale s as a finite Python number (see core._number), or an
+    ArgumentError, also when s is one of the family's ``excluded`` values."""
+    s = _number(s, f"{family} requires a finite scale s")
     if s in excluded:
         raise ArgumentError(f"{family} requires s outside "
                             f"{{{', '.join(map(str, excluded))}}}")
@@ -121,9 +101,7 @@ def _powers(t, first: int, last: int, family: str, c=1):
 
 
 def _check_length(N, family: str, *, minimum: int, mod4=None, odd=False):
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
-        raise ArgumentError(f"length N must be an integer, got {N!r}")
-    N = int(N)
+    N = _number(N, "length N must be an integer", (int,))
     if N < minimum:
         raise ArgumentError(f"family {family!r} requires N >= {minimum}")
     if mod4 is not None and N % 4 != mod4:
@@ -593,7 +571,8 @@ def generate(family: str, n=None, s=None) -> Sequence:
         raise DomainError(f"{family} overflows at this N and s: an "
                           "intermediate value leaves the float range") \
             from None
-    if not takes_n and n is not None and int(n) != len(seq):
+    if not takes_n and n is not None and \
+            _number(n, "length N must be an integer", (int,)) != len(seq):
         raise ArgumentError(
             f"{kind} {family!r} has fixed length {len(seq)}, got N={n}")
     if not np.isfinite(seq.elements).all():

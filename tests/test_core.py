@@ -3,6 +3,7 @@ DFT, rounding, and JSON interchange."""
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from huffseq import (
     end_term_bound,
     fib_poly,
     from_json_obj,
+    generate,
+    is_canonical,
+    is_perfect,
     kron,
     merit_factor,
     offset,
@@ -97,6 +101,17 @@ class TestSequence:
     def test_energy(self):
         seq = Sequence([3, 4j])
         assert seq.energy == pytest.approx(25.0)
+
+    def test_gaussian_integer_energy_is_exact(self):
+        # re^2 + im^2 of Gaussian integers is exact; |z|^2 by hypot is not
+        # (19.000000000000004 here).
+        f = [1 + 2j, 3 - 1j, 2j]
+        assert Sequence(f).energy == 19.0
+        assert is_canonical(Sequence(f)).energy == 19.0
+        lags = [sum(f[i].conjugate() * f[i + k] for i in range(len(f) - k))
+                for k in (1, 2)]
+        side = sum(int(r.real) ** 2 + int(r.imag) ** 2 for r in lags)
+        assert merit_factor(Sequence(f)) == float(Fraction(19 ** 2, 2 * side))
 
     def test_rejects_empty(self):
         with pytest.raises(ArgumentError):
@@ -246,7 +261,9 @@ class TestAsArray:
 
 # A value that does not cast to a number, reaching each cast that public
 # input goes through: as_array, the engine's _grid, Sequence, MaskSet and
-# pedestal_masks' pedestal.
+# to_json_obj.  Then a scalar parameter read by core._number that is not a
+# finite number of its kind: each one raised a raw OverflowError, TypeError
+# or ValueError, or was taken as a number, before that gate.
 NON_NUMERIC_CALLS = {
     "autocorr": lambda: autocorr("abc"),
     "merit_factor": lambda: merit_factor("ab"),
@@ -263,6 +280,52 @@ NON_NUMERIC_CALLS = {
     "Sequence": lambda: Sequence("ab"),
     "MaskSet": lambda: MaskSet((np.ones(2), [1, "a"]), "split_sign"),
     "pedestal_masks": lambda: pedestal_masks([1.0, -1.0], "x"),
+    "to_json_obj": lambda: to_json_obj("ab"),
+    # raw exceptions
+    "is_canonical tol=10**400": lambda: is_canonical([1, 2], tol=10 ** 400),
+    "is_perfect tol=10**400": lambda: is_perfect([1, 2], tol=10 ** 400),
+    "dft n=10**400": lambda: dft([1, 2], 10 ** 400),
+    "dft n=True": lambda: dft([1], True),
+    "generate n='x'": lambda: generate("h9a", n="x", s=1),
+    "generate n=[9]": lambda: generate("h9a", n=[9], s=1),
+    "Sequence scale=None": lambda: Sequence([1, 2], scale=None),
+    "Sequence scale='x'": lambda: Sequence([1, 2], scale="x"),
+    "Sequence scale=10**400": lambda: Sequence([1, 2], scale=10 ** 400),
+    "offset None": lambda: offset([1, 2], None),
+    "offset 'x'": lambda: offset([1, 2], "x"),
+    "offset 10**400": lambda: offset([1, 2], 10 ** 400),
+    "scale None": lambda: scale([1, 2], None),
+    "scale 'x'": lambda: scale([1, 2], "x"),
+    "scale 10**400": lambda: scale([1, 2], 10 ** 400),
+    "approx_equal 'a'": lambda: approx_equal("a", 1),
+    "approx_equal None": lambda: approx_equal(None, 1),
+    "approx_equal 10**400": lambda: approx_equal(10 ** 400, 1),
+    "approx_equal tol='x'": lambda: approx_equal(1, 2, tol="x"),
+    "end_term_bound obj_max=10**400":
+        lambda: end_term_bound([1.0, -1.0], obj_max=10 ** 400),
+    "pedestal_masks 10**400": lambda: pedestal_masks([1.0, -1.0], 10 ** 400),
+    # silent acceptances
+    "is_canonical tol=True": lambda: is_canonical([1, 2], tol=True),
+    "is_perfect tol=True": lambda: is_perfect([1, 2], tol=True),
+    "end_term_bound obj_max='2'":
+        lambda: end_term_bound([1.0, -1.0], obj_max="2"),
+    "end_term_bound obj_max=True":
+        lambda: end_term_bound([1.0, -1.0], obj_max=True),
+    "pedestal_masks '5'": lambda: pedestal_masks([1.0, -1.0], "5"),
+    "pedestal_masks True": lambda: pedestal_masks([1.0, -1.0], True),
+    "fib_poly True": lambda: fib_poly(True, 2),
+    "generate n=9.5": lambda: generate("h9a", n=9.5, s=1),
+    "generate n='9'": lambda: generate("h9a", n="9", s=1),
+    "Sequence scale='1'": lambda: Sequence([1, 2], scale="1"),
+    "Sequence scale=nan": lambda: Sequence([1, 2], scale=math.nan),
+    "Sequence scale=True": lambda: Sequence([1, 2], scale=True),
+    "offset '1'": lambda: offset([1, 2], "1"),
+    "offset nan": lambda: offset([1, 2], math.nan),
+    "approx_equal nan": lambda: approx_equal(math.nan, 1),
+    "MaskSet pedestal='x'": lambda: MaskSet(
+        (np.ones(2), np.ones(2)), "pedestal", pedestal="x"),
+    "MaskSet pedestal=nan": lambda: MaskSet(
+        (np.ones(2), np.ones(2)), "pedestal", pedestal=math.nan),
 }
 
 

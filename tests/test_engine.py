@@ -41,6 +41,7 @@ from huffseq import (
     spectral_flatness,
     xcorr,
 )
+from huffseq import analysis
 from huffseq.analysis import (_DIRECT_MAX, _FOLDED, _SHORT, _fast_len,
                               _method, _operands, _sumsq)
 
@@ -694,6 +695,20 @@ class TestSequenceMemo:
         seq = generate("fib", n=7, s=1)
         assert seq.energy == 18.0
         assert merit_factor(seq) == 162.0
+
+    @pytest.mark.parametrize("f", [RNG.normal(size=SIDE + 5),
+                                   cnormal(SIDE + 5), cnormal(12)])
+    def test_one_real_pass_per_sequence(self, f, monkeypatch):
+        # The elements' grid (real when every imaginary part is zero) is
+        # kept in the memo: one pass over the imaginary parts per Sequence.
+        calls, real = [], analysis._real
+        monkeypatch.setattr(analysis, "_real",
+                            lambda x: calls.append(x) or real(x))
+        seq = Sequence(f)
+        autocorr(seq)
+        is_canonical(seq)
+        merit_factor(seq)
+        assert len(calls) == 1
 
 
 class TestTransformCount:

@@ -580,6 +580,28 @@ class TestArgumentValidation:
             with pytest.raises(ArgumentError):
                 maker(N, 0)
 
+    @pytest.mark.parametrize("n,s,plain_n,plain_s", [
+        (np.int64(11), 2, 11, 2),
+        (np.uint8(11), np.int64(-3), 11, -3),
+        (11, np.float32(0.7), 11, float(np.float32(0.7))),
+        (11, np.longdouble(0.7), 11, float(np.longdouble(0.7))),
+        (11, np.complex128(0.7 + 0.2j), 11, 0.7 + 0.2j)],
+        ids=["N_int64", "N_uint8-s_int64", "s_float32", "s_longdouble",
+             "s_complex128"])
+    def test_numpy_scalars_read_as_python_numbers(self, n, s, plain_n,
+                                                  plain_s):
+        # A numpy N or s is its Python value, bit for bit, in the exact
+        # Python-number recurrence (fib) and in numpy powers (harb); an
+        # np.float64 tol is a float.
+        for family in ("fib", "harb"):
+            got, want = generate(family, n, s), generate(family, plain_n,
+                                                         plain_s)
+            assert got.elements.tobytes() == want.elements.tobytes()
+            assert got.scale == want.scale
+        rep = is_canonical(got, tol=np.float64(1e-6))
+        assert rep == is_canonical(want, tol=1e-6)
+        assert type(rep.tolerance) is float
+
     @pytest.mark.parametrize(
         "family", [f for f in family_ids() if FAMILY_INFO[f][2]])
     @pytest.mark.parametrize("s", [
