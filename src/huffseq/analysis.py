@@ -263,27 +263,26 @@ def _sumsq(v: np.ndarray) -> float:
         return math.inf
 
 
-def _fft_error_bound(x, y, norms2: float) -> float:
+def _fft_error_bound(full: list, norms2: float) -> float:
     """Percival's bound (Math. Comp. 72, 2003) on the largest error of an
-    FFT convolution of x and y over power-of-two lengths 2^n (n summed over
-    the axes): ||x||_2 ||y||_2 [(1+e)^3n (1+e*sqrt5)^(3n+1) (1+b)^3n - 1],
-    with e = b = 2^-53 the round-off of the arithmetic and of the twiddle
+    FFT convolution whose full result has the extents ``full``, over
+    power-of-two lengths 2^n (n summed over the axes):
+    ||x||_2 ||y||_2 [(1+e)^3n (1+e*sqrt5)^(3n+1) (1+b)^3n - 1], with
+    e = b = 2^-53 the round-off of the arithmetic and of the twiddle
     factors; ``norms2`` is ||x||_2^2 ||y||_2^2.  The theorem is proved for
     the radix-2 complex FFT; numpy's mixed-radix real transform is taken to
     stay within it.  It bounds each spectrum by the error of one transform,
     so it covers an autocorrelation whose two spectra are one."""
-    n = sum((m - 1).bit_length() for m in _full_shape(x, y))
+    n = sum((m - 1).bit_length() for m in full)
     growth = math.expm1(6 * n * math.log1p(_EPS)
                         + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5)))
     return math.sqrt(norms2) * growth
 
 
 def _is_int(x: np.ndarray) -> bool:
-    """Integer dtype, or float entries that are all integers below 2^53.
-    Up to 64 leading entries are tested on their own first, so that a
-    float array is rejected without a pass over all of it."""
-    if x.dtype.kind != "f":
-        return True
+    """Float entries that are all integers below 2^53.  Up to 64 leading
+    entries are tested on their own first, so that a float array is
+    rejected without a pass over all of it."""
     head = x[(0,) * (x.ndim - 1)][:64]
     if head.size < x.size and np.count_nonzero(head != np.rint(head)):
         return False
@@ -291,105 +290,237 @@ def _is_int(x: np.ndarray) -> bool:
         not np.count_nonzero(x != np.rint(x))
 
 
+def _short(x: np.ndarray, y: np.ndarray) -> bool:
+    """1-D operands that np.convolve takes: |x| |y| <= _DIRECT_MAX."""
+    return x.ndim == 1 and x.size * y.size <= _DIRECT_MAX
+
+
 def _method(x: np.ndarray, y: np.ndarray) -> str:
     """How :func:`_convolve` computes x * y: 'direct' (np.convolve), 'rfft'
-    or 'fft' (float transforms), or, for integer-valued real inputs whose
-    float direct sum could round, one of the exact methods 'fft_round',
-    'int64' and 'pyint'.  The norms are taken only by the two decisions that
-    read them, and once for an operand passed as both x and y."""
-    small = x.ndim == 1 and x.size * y.size <= _DIRECT_MAX
+    or 'fft' (float transforms), or 'limbs' (:func:`_exact`) for
+    integer-valued real inputs whose float direct sum could round.  The
+    norms are taken only by the decision that reads them, and once for an
+    operand passed as both x and y."""
+    small = _short(x, y)
     if x.dtype.kind == "c" or y.dtype.kind == "c":
         return "direct" if small else "fft"
-
-    def norms2() -> float:
-        nx = _sumsq(x)
-        return nx * (nx if y is x else _sumsq(y))
-
     if small:
         # Exact for integer inputs below the bound: by Cauchy-Schwarz every
         # partial sum is an integer of magnitude at most ||x|| ||y|| < 2^52.
-        if norms2() < 2.0 ** 104 or not (_is_int(x) and _is_int(y)):
+        nx = _sumsq(x)
+        if nx * (nx if y is x else _sumsq(y)) < 2.0 ** 104 or \
+                not (_is_int(x) and _is_int(y)):
             return "direct"
     elif not (_is_int(x) and _is_int(y)):
         return "rfft"
-    elif _fft_error_bound(x, y, norms2()) < 0.5:
-        return "fft_round"
-    amax = [int(np.abs(v).max()) for v in (x, y)]
-    if amax[0] * amax[1] * min(x.size, y.size) < 2 ** 63:
-        return "int64"
-    return "pyint"
+    return "limbs"
 
 
-def _direct(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Full linear convolution by direct summation in the inputs' dtype (exact
-    for int64 within range and for Python ints)."""
-    if x.ndim == 1:
-        return np.convolve(x, y)
-    if x.size > y.size:
-        x, y = y, x
-    out = np.zeros(_full_shape(x, y), dtype=np.result_type(x, y))
-    for idx in zip(*np.nonzero(x)):
-        out[tuple(slice(i, i + n) for i, n in zip(idx, y.shape))] += x[idx] * y
+def _limb_plan(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(k, b, bound) for :func:`_exact` on integer-valued float arrays x
+    and y: k limbs of b bits each, the least k that the route proves
+    exact, and bound = max|x| max|y| min(|x|, |y|) as a Python int, above
+    every |result| (b and bound are None for k = 1).
+
+    Short 1-D inputs (:func:`_short`) take k = 1 when bound < 2^63
+    (np.convolve in int64), else the least k with
+    min(|x|, |y|) k 4^b <= 2^53, so that no partial sum of a diagonal
+    reaches 2^53.  Other inputs take k = 1 when Percival's certificate on
+    the actual norms is below 1/2, else the least k whose certificate on
+    the limb stacks, each of norm^2 at most k |v| 4^b, is below 1/2.  The
+    norms are taken only on that route and max|v| only where read, once for
+    an operand passed as both x and y."""
+    short, count = _short(x, y), min(x.size, y.size)
+    if not short:
+        full, nx = _full_shape(x, y), _sumsq(x)
+        if _fft_error_bound(full, nx * (nx if y is x else _sumsq(y))) < 0.5:
+            return 1, None, None
+    # The ufunc: no method wrapper.
+    tx = float(np.maximum.reduce(np.abs(x), axis=None))
+    ty = tx if y is x else float(np.maximum.reduce(np.abs(y), axis=None))
+    bound = int(tx) * int(ty) * count
+    if short:
+        if bound < 2 ** 63:
+            return 1, None, None
+
+        def fits(k, b):
+            return count * k << 2 * b <= 1 << 53
+    else:
+        def fits(k, b):
+            return _fft_error_bound([2 * k - 1] + full, k * k * x.size
+                                    * y.size * 16.0 ** b) < 0.5
+    # Every |entry| < 2^bits, and b <= 26, as no limb product may pass 2^53.
+    bits = math.frexp(max(tx, ty))[1]
+    for k in range(max(2, -(-bits // 26)), bits + 1):
+        b = -(-bits // k)
+        if fits(k, b):
+            return k, b, bound
+    raise ArgumentError(f"operands of shapes {x.shape} and {y.shape} are "
+                        "too large to correlate exactly")
+
+
+def _split(v: np.ndarray, k: int, b: int) -> np.ndarray:
+    """The k limbs of b bits of an integer-valued float array v whose
+    entries lie below 2^(kb) in magnitude, stacked along a new leading
+    axis: v = sum_a limb_a 2^(ab), every limb in [0, 2^b) but the top one,
+    in [-2^b, 2^b).  Exact: limb_a = f_a - 2^b f_(a+1) with
+    f_a = floor(v 2^(-ab)), and a power-of-two scaling of an integer stays
+    exact down to 2^-1074."""
+    shifts = -b * np.arange(k).reshape((k,) + (1,) * v.ndim)
+    f = np.floor(np.ldexp(v, shifts))
+    f[:-1] -= np.ldexp(f[1:], b)
+    return f
+
+
+def _digits(d: np.ndarray, b: int, bound: int) -> np.ndarray:
+    """The totals sum_e d[e] 2^(be) over the leading axis of an int64 array
+    d of exact diagonal sums, each |d[e]| <= 2^53, whose magnitudes are at
+    most ``bound``, as digits t of b bits: sum_e t[e] 2^(be), every digit
+    in [-1, 2^b] but the top one, which keeps the sign and lies in
+    [-2, 1].  ceil(53 / b) + 1 rounds of carries along the digit axis, each
+    taking every digit but the top one mod 2^b and adding the carry to the
+    next: a carry shrinks by b bits a round, to -1, 0 or 1 in the last."""
+    n = max(len(d), -(-bound.bit_length() // b)) + 1
+    t = np.zeros((n,) + d.shape[1:], dtype=np.int64)
+    t[:len(d)] = d
+    for _ in range(-(-53 // b) + 1):
+        carry = t[:-1] >> b
+        t[:-1] &= (1 << b) - 1
+        t[1:] += carry
+    return t
+
+
+@functools.lru_cache(maxsize=256)
+def _word_layout(n: int, b: int) -> tuple:
+    """How :func:`_join` packs n digits of b bits into 62-bit words:
+    (shift, cut, rest, dest, starts, words): each digit's shift within the
+    word its lowest bit lies in; the digits that reach bit 62 of their word
+    (b + 1 bits, 2 for the top digit), how many of their bits stay below
+    it, and the word their high part goes to; the first digit of each word;
+    and the word count.  Kept per (n, b), as the bookkeeping costs more than
+    a short join."""
+    word, shift = np.divmod(b * np.arange(n), 62)
+    width = np.full(n, b)
+    width[-1] = 2
+    cut = np.flatnonzero(shift + width >= 62)
+    starts = np.searchsorted(word, np.arange(word[-1] + 1))
+    return (shift, cut, 62 - shift[cut], word[cut] + 1, starts,
+            word[-1] + 1 + (n - 1 in cut))
+
+
+def _join(d: np.ndarray, b: int, bound: int) -> np.ndarray:
+    """The totals sum_e d[e] 2^(be) of :func:`_digits`: in int64 when
+    bound < 2^63 (the wrapping int64 sum is exact modulo 2^64, and every
+    total lies in range), else as Python ints, which enter only through
+    whole-array operations on ceil(bits / 62) words of 62 bits, bits the
+    bit length of ``bound``.  Word w gathers every digit whose lowest bit
+    lies in it, shifted into place; a digit that reaches bit 62 of its
+    word is cut there, and its high part goes to the next word.  Each word
+    stays within int64: the uncut digits add to at most 2^61 * 4/3, and
+    the cut one to less than 2^62.  The words past ceil(bits / 62) fold
+    into the last one kept, modulo 2^64, where its total fits."""
+    col = (-1,) + (1,) * (d.ndim - 1)
+    if bound < 2 ** 63:
+        return (d << b * np.arange(len(d)).reshape(col)).sum(axis=0)
+    t = _digits(d, b, bound)
+    shift, cut, rest, dest, starts, n = _word_layout(len(t), b)
+    high = t[cut] >> rest.reshape(col)
+    t[cut] -= high << rest.reshape(col)
+    words = np.zeros((n,) + d.shape[1:], dtype=np.int64)
+    words[:len(starts)] = np.add.reduceat(t << shift.reshape(col), starts,
+                                          axis=0)
+    words[dest] += high
+    top = -(-bound.bit_length() // 62)
+    if len(words) > top:   # a word 2 or more above adds 0 modulo 2^64
+        words[top - 1] += words[top] << 62
+    out = words[top - 1].astype(object)
+    for w in words[:top - 1][::-1]:
+        out = (out << 62) + w
     return out
 
 
-def _kronecker(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact convolution of integer arrays of any magnitude by Kronecker
-    substitution: both arrays, zero-padded to the output shape and raveled,
-    become Python ints with one digit of ``width`` bytes per entry, and the
-    digits of their product are the convolution.  Each digit is stored
-    offset by half its range, so that every digit is non-negative."""
-    full = _full_shape(x, y)
-    amax = [int(np.abs(v).max()) for v in (x, y)]
-    bound = amax[0] * amax[1] * min(x.size, y.size) + amax[0] + amax[1]
-    width = (bound.bit_length() + 9) // 8
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * math.prod(full),
-                            "little")
+def _diagonals(x: np.ndarray, y: np.ndarray, flip: bool = False,
+               keep=None) -> tuple:
+    """(d, b, bound) of :func:`_exact`: for k >= 2 limbs of b bits, the
+    int64 diagonal sums d, diagonal e on the leading axis, and a Python int
+    above every |result|; for k = 1 the exact int64 result, with b and
+    bound None."""
+    k, b, bound = _limb_plan(x, y)
+    short, rev = _short(x, y), (slice(None, None, -1),) * x.ndim
+    if k == 1 and not short:
+        z = _fft_convolve(x, y, _pow2_len, True, flip, keep=keep)
+        return np.rint(z).astype(np.int64), None, None
+    # Each operand in int64 (k = 1) or as its limb stack, limbs leading; x
+    # reversed for a correlation, a view of y's form when y is x.
+    if k == 1:
+        fy = y.astype(np.int64)
+        fx = fy if y is x else x.astype(np.int64)
+        z = np.convolve(fx[rev] if flip else fx, fy)
+        return z if keep is None else z[keep], None, None
+    fy = _split(y, k, b)
+    fx = fy if y is x else _split(x, k, b)
+    if flip:
+        fx = fx[(slice(None),) + rev]
+    keep = (slice(None),) + tuple(keep or (slice(None),) * x.ndim)
+    if short:
+        rows = []
+        for limbs in (fx, fy):
+            z = np.zeros((limbs.shape[1], 2 * k - 1))
+            z[:, :k] = limbs.T
+            rows.append(z.ravel()[:z.size - k + 1])
+        d = np.convolve(*rows).reshape(-1, 2 * k - 1).T[keep]
+    else:
+        d = np.rint(_fft_convolve(fx, fy, _pow2_len, True, keep=keep))
+    return d.astype(np.int64), b, bound
 
-    def pack(v):
-        padded = np.zeros(full, dtype=object)
-        padded[tuple(slice(n) for n in v.shape)] = v
-        digits = b"".join([(int(d) + half).to_bytes(width, "little")
-                           for d in padded.ravel().tolist()])
-        return int.from_bytes(digits, "little") - offset
 
-    raw = (pack(x) * pack(y) + offset).to_bytes(width * math.prod(full),
-                                                "little")
-    out = [int.from_bytes(raw[i:i + width], "little") - half
-           for i in range(0, len(raw), width)]
-    return np.array(out, dtype=object).reshape(full)
+def _exact(x: np.ndarray, y: np.ndarray, flip: bool = False,
+           keep=None) -> np.ndarray:
+    """The exact full linear convolution of integer-valued float arrays x
+    and y of any magnitude, or with ``flip`` the correlation of x against
+    y; ``keep`` (slices of the full result) is the part returned.  It is an
+    int64 array when max|x| max|y| min(|x|, |y|) < 2^63, else an object
+    array of Python ints.
+
+    Each operand is split into k limbs of b bits (:func:`_split`; k and b
+    from :func:`_limb_plan`).  The limb products summed along their
+    diagonals a + c = e are exact integers of at most 2^53, which
+    :func:`_join` recombines.  k = 1 is one np.convolve in int64 (short
+    1-D inputs) or one FFT over power-of-two lengths rounded to the
+    nearest integer (the others).  For k >= 2, x is reversed on every axis
+    for a correlation, and
+
+    * short 1-D inputs interleave the limbs, limb a of entry i at position
+      i(2k-1) + a and zeros between, so that one float np.convolve puts
+      diagonal e of output index s at s(2k-1) + e;
+    * the others take one FFT over power-of-two lengths of the limb
+      stacks, whose convolution along the limb axis is the diagonals."""
+    d, b, bound = _diagonals(x, y, flip, keep)
+    return d if b is None else _join(d, b, bound)
 
 
 def _convolve(x: np.ndarray, y: np.ndarray, flip: bool = False,
               dual: bool = False, memo=None, keep=None) -> np.ndarray:
     """Full linear convolution of two arrays of equal rank by the method
     :func:`_method` picks, or with ``flip`` the correlation of x against y;
-    ``keep`` (slices of the full result) is the part returned.  The FFT
-    paths are one call to :func:`_fft_convolve`, whose one-operand case is
-    the autocorrelation (x passed as both x and y); ``memo`` reaches it on
-    the 'rfft' and 'fft' paths only.  The summation paths ('direct',
-    'int64', 'pyint') reverse x on every axis, and conjugate it unless
-    ``dual``, after the pick, which the reversal would not change.  The
-    exact methods return int64 or Python-int (object) arrays holding the
-    exact integer result."""
+    ``keep`` (slices of the full result) is the part returned.  The float
+    FFT paths are one call to :func:`_fft_convolve`, whose one-operand case
+    is the autocorrelation (x passed as both x and y); ``memo`` reaches it
+    on the 'rfft' and 'fft' paths only.  The 'direct' path reverses x, and
+    conjugates it unless ``dual``, after the pick, which the reversal would
+    not change.  The 'limbs' path is :func:`_exact`, which returns the
+    exact integer result in int64 or Python ints (object)."""
     method = _method(x, y)
-    if method in ("rfft", "fft", "fft_round"):
-        exact = method == "fft_round"
-        z = _fft_convolve(x, y, _pow2_len if exact else _fast_len,
-                          method != "fft", flip, dual, keep,
-                          None if exact else memo)
-        return np.rint(z).astype(np.int64) if exact else z
+    if method == "limbs":
+        return _exact(x, y, flip, keep)
+    if method != "direct":
+        return _fft_convolve(x, y, _fast_len, method == "rfft", flip, dual,
+                             keep, memo)
     if flip:
-        x = x[(slice(None, None, -1),) * x.ndim]
+        x = x[::-1]
         if not dual and x.dtype.kind == "c":
             x = x.conj()
-    if method == "direct":
-        z = np.convolve(x, y)
-    elif method == "pyint":
-        z = _kronecker(x, y)
-    else:
-        z = _direct(x.astype(np.int64), y.astype(np.int64))
+    z = np.convolve(x, y)
     return z if keep is None else z[keep]
 
 
@@ -518,12 +649,16 @@ def correlate(a, b=None, *, dual: bool = False,
       every axis (a real one when both inputs have zero imaginary part);
     * real inputs whose entries are all integers below 2^53 are computed
       exactly whenever a float sum could round (np.convolve cannot while
-      ||a||_2 ||b||_2 < 2^52): by the FFT, rounded to the nearest integer,
-      when Percival's round-off certificate
-      ||a||_2 ||b||_2 [(1+e)^3n (1+e*sqrt5)^(3n+1) (1+e)^3n - 1] is below
-      1/2 (e = 2^-53; 2^n is the product of the power-of-two transform
-      lengths); otherwise directly in int64 when
-      max|a| * max|b| * min(|a|, |b|) < 2^63; otherwise in Python ints.
+      ||a||_2 ||b||_2 < 2^52), by splitting each into k limbs of b bits
+      (:func:`_exact`): one np.convolve for 1-D inputs with
+      |a|*|b| <= 2^17, in int64 at k = 1 (when
+      max|a| * max|b| * min(|a|, |b|) < 2^63), else of interleaved limbs;
+      one FFT over power-of-two lengths for the others, rounded to the
+      nearest integer under Percival's round-off certificate
+      ||a||_2 ||b||_2 [(1+e)^3n (1+e*sqrt5)^(3n+1) (1+e)^3n - 1] < 1/2
+      (e = 2^-53; 2^n is the product of the power-of-two transform
+      lengths), taken at k = 1 on the inputs and otherwise on their limb
+      stacks.
 
     A ``b`` equal to ``a`` in shape, dtype and values gives the
     autocorrelation, bit for bit.  A Sequence correlated with itself is
@@ -718,30 +853,42 @@ def merit_factor(f) -> float:
 
 
 def merit_factor_exact(f) -> Fraction:
-    """Merit factor as an exact Fraction; requires integer-valued elements.
-    The lags come from the exact integer path of :func:`correlate`."""
+    """Merit factor as an exact Fraction; requires integer-valued elements,
+    of any magnitude.  The lags come from the 'limbs' method of
+    :func:`correlate` (:func:`_exact`), whose diagonals give their sum of
+    squares directly when there is more than one limb."""
     a = _one_d(f, "merit_factor_exact", 2)
-    top = float(np.abs(a.real).max())
-    if not math.isfinite(top) or np.count_nonzero(a.imag) or \
-            np.count_nonzero(a.real != np.rint(a.real)):
+    x = a.real
+    if not math.isfinite(np.maximum.reduce(np.abs(x))) or \
+            np.count_nonzero(a.imag) or np.count_nonzero(x != np.rint(x)):
         raise ArgumentError("merit_factor_exact needs finite integers")
-    if top < 2.0 ** 63:
-        ints = a.real.astype(np.int64)
+    r, b, bound = _diagonals(x, x, flip=True)
+    if b is None:   # k = 1: the lags themselves, in int64
+        energy = int(r[a.size - 1])
+        # The squares sum in int64 when max|r_k|^2 times their count is
+        # below 2^63, so that no partial sum can reach it, and in Python
+        # ints otherwise.  |r_k| <= energy bounds max|r_k| without a pass.
+        side, worst = r[a.size:], energy
+        if worst * worst * side.size >= 2 ** 63:
+            worst = int(np.abs(side).max())
+        side = side.astype(np.int64 if worst * worst * side.size < 2 ** 63
+                           else object, copy=False)
+        sidepower = int(np.dot(side, side))
     else:
-        ints = np.array([int(v) for v in a.real], dtype=object)
-    r = _convolve(ints, ints, flip=True)
-    energy = int(r[a.size - 1])
+        # Diagonals e of 2^(be): sum_k r_k^2 = sum_u 2^(bu) c_u, c_u the
+        # sum over e + f = u of the digits' Gram matrix G = t t^T, whose
+        # entries and anti-diagonal sums stay below 2^63 by the plan's
+        # bound on |lags| 4^b.
+        energy = sum(v << b * e for e, v in
+                     enumerate(r[:, a.size - 1].tolist()))
+        t = _digits(r[:, a.size:], b, bound)
+        skew = np.zeros((len(t), 2 * len(t)), dtype=np.int64)
+        skew[:, :len(t)] = t @ t.T
+        c = skew.ravel()[:len(t) * (2 * len(t) - 1)].reshape(len(t), -1)
+        sidepower = sum(v << b * u for u, v in enumerate(c.sum(axis=0)
+                                                         .tolist()))
     if energy == 0:
         raise ArgumentError("merit factor is undefined for the zero sequence")
-    # The squares sum in int64 when max|r_k|^2 times their count is below
-    # 2^63, so that no partial sum can reach it, and in Python ints
-    # otherwise.  |r_k| <= energy bounds max|r_k| without a pass.
-    side, worst = r[a.size:], energy
-    if worst * worst * side.size >= 2 ** 63:
-        worst = int(np.abs(side).max())
-    side = side.astype(np.int64 if worst * worst * side.size < 2 ** 63
-                       else object, copy=False)
-    sidepower = int(np.dot(side, side))
     if sidepower == 0:
         raise ArgumentError("all off-peak lags are zero (infinite merit "
                             "factor)")
@@ -772,10 +919,11 @@ def spectral_flatness(f) -> float:
 
 def dual_cross_spectrum(f, padded_length: int | None = None) -> np.ndarray:
     """DFT(f) * DFT(reversed f), from the one transform DFT(f): the spectrum
-    whose inverse transform is the conjugate-free autocorrelation.  For a
-    dual-canonical sequence every bin magnitude stays within 2*|f_1*f_N| of
-    the dual peak |sum f_i^2|.  Bins beyond the float range are inf or NaN,
-    quietly."""
+    whose inverse transform is the conjugate-free autocorrelation, over
+    ``padded_length`` bins (2N-1 by default), a length :func:`dft` takes.
+    For a dual-canonical sequence every bin magnitude stays within
+    2*|f_1*f_N| of the dual peak |sum f_i^2|.  Bins beyond the float range
+    are inf or NaN, quietly."""
     a = _one_d(f, "dual_cross_spectrum")
     if padded_length is None:
         padded_length = 2 * a.size - 1

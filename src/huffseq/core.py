@@ -26,6 +26,7 @@ from typing import Iterable, Sequence as _Seq
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+_DFT_MAX = 2 ** 26   # longest zero-padded dft
 
 
 class ArgumentError(ValueError):
@@ -193,11 +194,14 @@ def outer(f, g) -> np.ndarray:
 
 def dft(f, n: int | None = None) -> np.ndarray:
     """Forward unnormalized DFT with optional zero-padding to length n, an
-    integer >= len(f)."""
+    integer from len(f) to max(len(f), 2^26): a padded transform of more
+    than 2^26 bins (1 GiB of complex128) is refused, not allocated."""
     arr = as_array(f)
-    what = f"dft length must be an integer >= the sequence length {arr.size}"
+    top = max(arr.size, _DFT_MAX)
+    what = f"dft length must be an integer from the sequence length " \
+        f"{arr.size} to {top}"
     n = arr.size if n is None else _number(n, what, (int,))
-    if n < arr.size:
+    if not arr.size <= n <= top:
         raise ArgumentError(f"{what}, got {n!r}")
     return np.fft.fft(arr, n)
 

@@ -232,7 +232,11 @@ def recon_error(obj, obj_hat) -> ReconError:
             f"shape mismatch: {o.shape} vs {oh.shape}")
     diff = oh - o
     err, denom = math.sqrt(_sumsq(diff)), math.sqrt(_sumsq(o))
-    return ReconError(max_abs_error=float(np.abs(diff).max()),
+    if diff.dtype.kind == "c":
+        worst = float(np.abs(diff).max())
+    else:   # no |diff| copy; a NaN propagates, and abs makes -0.0 0.0
+        worst = abs(float(np.maximum(diff.max(), -diff.min())))
+    return ReconError(max_abs_error=worst,
                       rel_l2_error=err / denom if denom else err)
 
 

@@ -197,7 +197,7 @@ def brute_xcorr_2d_int(f, g):
 
 
 def _entries(grid):
-    """{index tuple: complex value} of an n-D nested list, and its shape."""
+    """{index tuple: value} of an n-D nested list, and its shape."""
     shape = []
     probe = grid
     while isinstance(probe, list):
@@ -208,7 +208,7 @@ def _entries(grid):
         v = grid
         for i in idx:
             v = v[i]
-        values[idx] = complex(v)
+        values[idx] = v
     return values, shape
 
 
@@ -224,12 +224,12 @@ def _nested(shape_ranges, value):
 def brute_xcorr_nd(f, g, conjugate=True):
     """Full n-D correlation out[k] = sum_i c(f[i]) * g[i+k] of nested lists,
     k from -(shape_f - 1) to shape_g - 1 on every axis, c conjugation when
-    ``conjugate``."""
+    ``conjugate``; exact in Python ints for Python-int entries."""
     fv, sf = _entries(f)
     gv, sg = _entries(g)
 
     def lag(k):
-        acc = 0j
+        acc = 0
         for i, v in fv.items():
             j = tuple(a + b for a, b in zip(i, k))
             if j in gv:

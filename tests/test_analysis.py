@@ -432,14 +432,14 @@ class TestSpectralFlatness:
             assert spectral_flatness(Sequence(f)) == spectral_flatness(f)
 
     # One case per way the autocorrelation can be computed: 'rfft', 'fft'
-    # (either sense, or the dual one alone), 'fft_round' (a power-of-two
-    # grid) and 'direct'.
+    # (either sense, or the dual one alone), 'limbs' (one limb, by the FFT
+    # on a power-of-two grid) and 'direct'.
     CASES = {
         "rfft": (np.random.default_rng(2).normal(size=600), autocorr),
         "fft": (gen_h_arb(601, cmath.exp(0.2j)).elements, autocorr),
         "fft_dual_only": (gen_h_arb(601, cmath.exp(0.2j)).elements,
                           dual_autocorr),
-        "fft_round": (np.random.default_rng(3).integers(
+        "limbs": (np.random.default_rng(3).integers(
             -1000, 1000, size=600).astype(float), autocorr),
         "direct": (np.random.default_rng(4).normal(size=20) + 1j, autocorr),
     }

@@ -20,6 +20,7 @@ from huffseq import (
     convolve,
     correlate,
     dft,
+    dual_cross_spectrum,
     end_term_bound,
     fib_poly,
     from_json_obj,
@@ -38,6 +39,7 @@ from huffseq import (
     split_signs,
     to_json_obj,
 )
+from huffseq.core import _DFT_MAX
 
 from _oracles import brute_dft
 
@@ -171,6 +173,19 @@ class TestDft:
     def test_default_length_is_input_length(self):
         f = [1, 1j, -1]
         assert dft(f).shape == (3,)
+
+    @pytest.mark.parametrize("n", [_DFT_MAX + 1, 2 ** 62, 2 ** 70])
+    def test_length_past_the_maximum_rejected(self, n):
+        # Refused before numpy sees it: neither numpy's own "Maximum
+        # allowed dimension exceeded" nor an allocation of n bins.
+        with pytest.raises(ArgumentError, match=f"to {_DFT_MAX}"):
+            dft([1, 2], n)
+        with pytest.raises(ArgumentError, match=f"to {_DFT_MAX}"):
+            dual_cross_spectrum([1, 2], n)
+
+    def test_lengths_up_to_the_maximum_taken(self):
+        assert dft([1, 2], 2 ** 12).shape == (2 ** 12,)
+        assert dual_cross_spectrum([1, 2], 2 ** 12).shape == (2 ** 12,)
 
 
 class TestQuantizeRound:

@@ -500,3 +500,31 @@ class TestReconError:
     def test_shape_mismatch(self):
         with pytest.raises(ArgumentError):
             recon_error([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    @staticmethod
+    def old_max_abs(obj, est):
+        """The max |difference| as taken through an |diff| copy."""
+        return float(np.abs(np.asarray(est) - np.asarray(obj)).max())
+
+    @pytest.mark.parametrize("case", [
+        "random", "random-2d", "nan", "nan-first", "inf", "neg-zero",
+        "pos-zero", "complex"])
+    def test_max_abs_error_bit_identical_to_abs_copy(self, case):
+        # max(max d, -min d) in place of max |d|: the same float bit for
+        # bit, NaN and -0.0 included, and no image-sized |d| copy.
+        rng = np.random.default_rng([RNG_SEED, len(case)])
+        shape = (64, 48) if case == "random-2d" else (700,)
+        obj, est = rng.normal(size=shape), rng.normal(size=shape)
+        if case in ("nan", "nan-first"):
+            est.flat[0 if case == "nan-first" else 123] = np.nan
+        elif case == "inf":
+            est[5] = -np.inf
+        elif case == "neg-zero":
+            obj, est = np.zeros(shape), np.full(shape, -0.0)
+        elif case == "pos-zero":
+            obj, est = np.full(shape, -0.0), np.full(shape, -0.0)
+        elif case == "complex":
+            est = est + 1j * rng.normal(size=shape)
+        got = recon_error(obj, est).max_abs_error
+        assert np.float64(got).tobytes() == \
+            np.float64(self.old_max_abs(obj, est)).tobytes()

@@ -42,8 +42,9 @@ from huffseq import (
     xcorr,
 )
 from huffseq import analysis
-from huffseq.analysis import (_DIRECT_MAX, _FOLDED, _SHORT, _fast_len,
-                              _method, _operands, _sumsq)
+from huffseq.analysis import (_DIRECT_MAX, _FOLDED, _SHORT, _exact,
+                              _fast_len, _fft_error_bound, _join,
+                              _limb_plan, _method, _operands, _sumsq)
 
 from _oracles import (
     brute_autocorr,
@@ -69,6 +70,12 @@ def method_of(a, b=None):
     """The method correlate(a, b) computes with."""
     x, y = _operands(a, b)
     return _method(np.flip(x), y)
+
+
+def limbs_of(a, b=None):
+    """The limb count k of correlate(a, b) on the 'limbs' method."""
+    x, y = _operands(a, b)
+    return _limb_plan(np.flip(x), y)[0]
 
 
 def ints(shape, bits):
@@ -100,14 +107,17 @@ FLOAT_CASES = [
     ("rfft", RNG.normal(size=4000), RNG.normal(size=40)),
 ]
 
-# 1-D integer-valued inputs: (method, f, g).
+# 1-D integer-valued inputs: (method, f, g).  The 'limbs' ones take, in
+# order: the FFT with one limb, np.convolve in int64 (one limb), the FFT of
+# two-limb stacks recombined in int64, and interleaved limbs recombined in
+# Python ints (twice).
 INT_CASES = [
     ("direct", ints(50, 20), ints(60, 20)),
-    ("fft_round", ints(400, 10), ints(500, 10)),
-    ("int64", ints(100, 27), ints(100, 27)),
-    ("int64", ints(400, 26), ints(400, 26)),
-    ("pyint", ints(60, 45), ints(70, 45)),
-    ("pyint", ints(3, 52), ints(500, 52)),
+    ("limbs", ints(400, 10), ints(500, 10)),
+    ("limbs", ints(100, 27), ints(100, 27)),
+    ("limbs", ints(400, 26), ints(400, 26)),
+    ("limbs", ints(60, 45), ints(70, 45)),
+    ("limbs", ints(3, 52), ints(500, 52)),
 ]
 
 FIB19_ROW = generate("fib", n=19, s=1)
@@ -118,16 +128,16 @@ FIB19_MASK = outer(FIB19_ROW, FIB19_ROW).real   # integers up to 1764
 # (g is None), whose one operand is passed as both x and y.
 NORM_CASES = [
     ("direct", ints(300, 20), None),
-    ("pyint", ints(50, 40), None),
-    ("fft_round", ints(600, 10), None),
-    ("int64", ints(600, 24), None),
-    ("pyint", ints(400, 45), ints(400, 45)),
+    ("limbs", ints(50, 40), None),
+    ("limbs", ints(600, 10), None),
+    ("limbs", ints(600, 24), None),
+    ("limbs", ints(400, 45), ints(400, 45)),
     ("rfft", RNG.normal(size=20000), None),
     ("fft", RNG.normal(size=20000) + 1j, None),
-    ("fft_round", ints((4, 5), 8), ints((3, 6), 8)),
-    ("int64", ints((4, 5), 26), ints((3, 6), 26)),
-    ("pyint", ints((4, 5), 45), ints((3, 6), 45)),
-    ("fft_round", FIB19_MASK, None),
+    ("limbs", ints((4, 5), 8), ints((3, 6), 8)),
+    ("limbs", ints((4, 5), 26), ints((3, 6), 26)),
+    ("limbs", ints((4, 5), 45), ints((3, 6), 45)),
+    ("limbs", FIB19_MASK, None),
     ("rfft", RNG.random((64, 64)), FIB19_MASK),
 ]
 
@@ -232,7 +242,8 @@ class TestIntegerMethods:
         # bits, and float64 products drop the low 8 on the way.
         p, q = 2.0 ** 30 + 1, 2.0 ** 30 + 3
         f, g = np.array([p, q]), np.array([p, -q])
-        assert method_of(f, g) == "int64"
+        assert method_of(f, g) == "limbs"
+        assert limbs_of(f, g) == 1   # np.convolve in int64
         assert correlate(f, g)[1] == -(2 ** 32 + 8)
         assert np.convolve(g, f[::-1])[1] != -(2 ** 32 + 8)
 
@@ -261,7 +272,7 @@ class TestTwoDimensional:
         assert close(nd_autocorr(grid), brute_autocorr_2d(grid.tolist()))
 
     @pytest.mark.parametrize("method,bits", [
-        ("fft_round", 8), ("int64", 26), ("pyint", 45)])
+        ("limbs", 8), ("limbs", 26), ("limbs", 45)])
     def test_integer_grids_exact(self, method, bits):
         f, g = ints((4, 5), bits), ints((3, 6), bits)
         assert method_of(f, g) == method
@@ -269,7 +280,7 @@ class TestTwoDimensional:
         assert np.array_equal(got.real, rounded(brute_xcorr_2d_int(f, g)))
 
     @pytest.mark.parametrize("method,bits", [
-        ("fft_round", 8), ("int64", 26), ("pyint", 45)])
+        ("limbs", 8), ("limbs", 26), ("limbs", 45)])
     def test_real_grid_reconstruct_exact_paths(self, method, bits):
         # On the exact paths too, a real estimate is the correlation's real
         # part over the real peak, bit for bit: one division per entry.
@@ -325,17 +336,19 @@ class TestOperands:
 class TestMeritFactorExact:
     def test_lag_sums_beyond_int64_take_python_ints(self):
         seq = [v * 2 ** 40 for v in (3, -2, 5, 1, -7, 4, 2, -1)]
-        arr = np.array(seq, dtype=np.int64)
-        assert _method(arr[::-1], arr) == "pyint"
+        arr = np.array(seq, dtype=float)
+        assert method_of(arr) == "limbs"
+        assert limbs_of(arr) >= 2
+        assert _exact(arr, arr, flip=True).dtype == object
         assert merit_factor_exact(seq) == brute_merit_factor_exact(seq)
 
     def test_elements_beyond_int64(self):
         seq = [3 * 2 ** 70, 5, -(2 ** 64), 7, 2 ** 80, -1]
         assert merit_factor_exact(seq) == brute_merit_factor_exact(seq)
 
-    def test_fft_round_path(self):
+    def test_limbs_fft_path(self):
         seq = RNG.choice([-1, 1], size=600).astype(float)
-        assert method_of(seq) == "fft_round"
+        assert (method_of(seq), limbs_of(seq)) == ("limbs", 1)
         assert merit_factor_exact(seq) == brute_merit_factor_exact(seq)
 
     @pytest.mark.parametrize("seq", [
@@ -351,6 +364,161 @@ class TestMeritFactorExact:
     def test_barker_still_exact(self):
         assert merit_factor_exact([1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1,
                                    1]) == Fraction(169, 12)
+
+
+def big_ints(shape, bits):
+    """Random integers below 2^bits in magnitude as float64: np.ldexp of a
+    random 30-bit int by a random exponent, so that the entries spread over
+    every magnitude up to 2^bits."""
+    mantissa = RNG.integers(-2 ** 30 + 1, 2 ** 30, size=shape)
+    return np.ldexp(mantissa.astype(float),
+                    RNG.integers(0, max(bits - 30, 0) + 1, size=shape))
+
+
+def as_ints(v):
+    """Nested lists of the exact Python ints of a float array."""
+    return np.vectorize(int, otypes=[object])(v).tolist()
+
+
+def exact_xcorr(f, g):
+    """The exact correlation of integer-valued float arrays of any rank, as
+    nested lists of Python ints, from the brute-force oracles."""
+    if f.ndim == 1:
+        return brute_xcorr_int(f, g)
+    if f.ndim == 2:
+        return brute_xcorr_2d_int(f, g)
+    return brute_xcorr_nd(as_ints(f), as_ints(g))
+
+
+class TestLimbs:
+    """The 'limbs' method (:func:`_exact`) on both sides of each of its
+    thresholds, 1-D to 3-D, at magnitudes up to 2^1023, against the exact
+    brute-force oracles: one limb against two on the short route (int64
+    np.convolve) and on the FFT route (Percival's certificate), int64
+    against Python-int recombination, and short against FFT."""
+
+    @pytest.mark.parametrize("extra,k", [(0, 1), (1, 2)])
+    def test_short_route_one_limb_to_two(self, extra, k):
+        # max|x|^2 * N just below 2^63 is np.convolve in int64; one more
+        # takes two interleaved limbs, recombined in Python ints.
+        n = 100
+        f = ints(n, 20)
+        f[7] = math.isqrt((2 ** 63 - 1) // n) + extra
+        assert (method_of(f), limbs_of(f)) == ("limbs", k)
+        assert _exact(f, f, flip=True).dtype == (np.int64 if k == 1
+                                                 else object)
+        assert np.array_equal(correlate(f).real,
+                              rounded(brute_xcorr_int(f, f)))
+
+    @pytest.mark.parametrize("extra,k", [(0, 1), (1, 2)])
+    def test_fft_route_one_limb_to_two(self, extra, k):
+        # A constant c of length N has norms^2 = (N c^2)^2: the largest c
+        # whose certificate is below 1/2 keeps one limb, the next one not.
+        n = 600
+        full = [2 * n - 1]
+        c = math.isqrt(int(0.5 / (n * _fft_error_bound(full, 1.0))))
+        while _fft_error_bound(full, float(n * c * c) ** 2) >= 0.5:
+            c -= 1
+        while _fft_error_bound(full, float(n * (c + 1) ** 2) ** 2) < 0.5:
+            c += 1
+        f = (c + extra) * RNG.choice([-1.0, 1.0], n)
+        assert (method_of(f), limbs_of(f)) == ("limbs", k)
+        assert np.array_equal(correlate(f).real,
+                              rounded(brute_xcorr_int(f, f)))
+
+    @pytest.mark.parametrize("extra,kind", [(0, np.int64), (1, object)])
+    def test_fft_route_int64_to_python_ints(self, extra, kind):
+        # Two limbs or more: max|x| max|y| min(|x|, |y|) below 2^63 sums
+        # the diagonals in int64, else in 62-bit words joined as Python
+        # ints.
+        n = 1000
+        f = (math.isqrt((2 ** 63 - 1) // n) + extra) * \
+            RNG.choice([-1.0, 1.0], n)
+        f[::3] = ints(f[::3].size, 20)
+        assert limbs_of(f) >= 2
+        got = _exact(np.flip(f), f)
+        assert got.dtype == kind
+        assert got.tolist() == brute_xcorr_int(f, f)
+
+    @pytest.mark.parametrize("bits", [60, 1000])
+    @pytest.mark.parametrize("n", [362, 363])
+    def test_short_to_fft(self, n, bits):
+        # |x| |y| <= _DIRECT_MAX interleaves the limbs for np.convolve;
+        # one more element stacks them for the FFT.
+        f, g = big_ints(n, bits), big_ints(362, bits)
+        assert (n * 362 <= _DIRECT_MAX) == (n == 362)
+        assert limbs_of(f, g) >= 2
+        assert _exact(f, g, flip=True).tolist() == brute_xcorr_int(f, g)
+        assert _exact(f, g).tolist() == brute_xcorr_int(np.flip(f), g)
+
+    @pytest.mark.parametrize("bits", [20, 45, 60, 300, 1023])
+    @pytest.mark.parametrize("fshape,gshape", [
+        ((40,), (40,)), ((3,), (90,)), ((4, 5), (3, 6)), ((6, 5), (6, 5)),
+        ((3, 4, 2), (2, 3, 3))])
+    def test_exact_at_any_magnitude(self, fshape, gshape, bits):
+        f, g = big_ints(fshape, bits), big_ints(gshape, bits)
+        assert _exact(f, g, flip=True).tolist() == exact_xcorr(f, g)
+        assert _exact(f, f, flip=True).tolist() == exact_xcorr(f, f)
+
+    @pytest.mark.parametrize("n,bits", [(13, 1000), (131, 82), (131, 217),
+                                        (400, 300), (600, 1023)])
+    def test_merit_factor_exact_at_any_magnitude(self, n, bits):
+        seq = big_ints(n, bits)
+        assert merit_factor_exact(seq) == brute_merit_factor_exact(seq)
+
+    @pytest.mark.parametrize("shape", [(40,), (600,), (5, 6), (3, 4, 5)])
+    def test_no_runtime_warning_near_the_float_range(self, shape):
+        # Entries up to 2^1023: every bound is taken in Python ints, and no
+        # numpy operation leaves the float range.
+        f = big_ints(shape, 1024)
+        f.flat[0] = np.ldexp(2.0 ** 53 - 1, 1024 - 53)   # the largest float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _exact(f, f, flip=True)
+            if f.ndim == 1:
+                merit_factor_exact(f)
+        assert got.tolist() == exact_xcorr(f, f)
+
+    def test_no_limb_count_fits_is_an_argument_error(self, monkeypatch):
+        # Past b = 1 no limb width is left: the plan refuses rather than
+        # round.
+        monkeypatch.setattr(analysis, "_fft_error_bound",
+                            lambda full, norms2: math.inf)
+        f = big_ints(600, 60)
+        with pytest.raises(ArgumentError, match="too large to correlate"):
+            _limb_plan(f, f)
+
+    @pytest.mark.parametrize("b", range(1, 27))
+    def test_join_matches_python_ints(self, b):
+        # Diagonals at the extremes +-2^53, -1 and 0, in every place, and
+        # random ones, for every limb width.
+        rng = np.random.default_rng(b)
+        d = rng.integers(-2 ** 53, 2 ** 53, size=(9, 40), endpoint=True)
+        d[:, :8] = [2 ** 53, -2 ** 53, -1, 0, 1, 2 ** 53 - 1, 7, -7]
+        d[rng.random(d.shape) < 0.2] = -2 ** 53
+        want = [sum(int(v) << b * e for e, v in enumerate(col))
+                for col in d.T]
+        for bound in (max(map(abs, want)) + 1, 2 ** 600):
+            assert _join(d, b, bound).tolist() == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_property_exact_at_any_magnitude(self, data):
+        ndim = data.draw(st.integers(1, 3))
+        top = 60 if ndim == 1 else 4
+        bits = data.draw(st.integers(0, 1023))
+        entries = st.builds(
+            lambda m, e: float(np.ldexp(float(m), e)),
+            st.integers(-2 ** 30, 2 ** 30), st.integers(0, max(bits - 30, 0)))
+        f, g = (np.array(data.draw(arrays(
+            np.float64, tuple(data.draw(st.integers(1, top))
+                              for _ in range(ndim)), elements=entries)))
+                for _ in range(2))
+        assert _exact(f, g, flip=True).tolist() == exact_xcorr(f, g)
+        if ndim == 1 and f.size >= 2:
+            side = brute_xcorr_int(f, f)[f.size:]
+            if any(side) and np.count_nonzero(f):
+                assert merit_factor_exact(f) == brute_merit_factor_exact(f)
 
 
 def cnormal(shape):
@@ -404,9 +572,10 @@ class TestTwoOperandProducts:
                                                ((6, 5), (9, 14)),
                                                ((7, 3), (4, 9))])
     def test_integer_valued_grids_exact(self, fshape, gshape):
-        # fft_round shares the spectrum buffer; its rounding stays exact.
+        # The one-limb FFT shares the spectrum buffer; its rounding stays
+        # exact.
         f, g = ints(fshape, 8), ints(gshape, 8)
-        assert method_of(f, g) == "fft_round"
+        assert (method_of(f, g), limbs_of(f, g)) == ("limbs", 1)
         got = correlate(f, g)
         assert np.array_equal(got.real, rounded(brute_xcorr_2d_int(f, g)))
         assert not got.imag.any()
@@ -462,8 +631,8 @@ class TestOneTransformAutocorrelation:
     @pytest.mark.parametrize("f", [ints(600, 10), ints(601, 10),
                                    ints((4, 5), 8), ints((5, 6), 8),
                                    ints((3, 4, 5), 8)])
-    def test_fft_round_bit_identical(self, f):
-        assert method_of(f) == "fft_round"
+    def test_limbs_fft_bit_identical(self, f):
+        assert (method_of(f), limbs_of(f)) == ("limbs", 1)
         if f.ndim == 3:   # integer sums far below 2^53 add exactly
             exact = np.real(brute_xcorr_nd(f.tolist(), f.tolist()))
         else:
